@@ -19,8 +19,8 @@ with mid-bring-up kills, the translation sanitizer on, and exact
 resource-leak accounting; exits nonzero on any violation or leak.
 
 ``zoo`` runs the policy ablation grid (:mod:`repro.experiments.zoo`):
-every registered translation policy x the stock workloads, all three
-execution tiers triangulated bit-identical per cell, MPKI/latency
+every registered translation policy x the stock workloads, reference
+and fast path checked bit-identical per cell, MPKI/latency
 grid and policy-gain ratios written to ``BENCH_zoo.json``; exits
 nonzero if any cell's tiers diverge.
 
@@ -127,7 +127,7 @@ def main(argv=None):
                                   "the tier's own setting)")
     perf_parser.add_argument("--live", action="store_true",
                              help="per-tier live progress lines "
-                                  "(instructions/sec, punt rate)")
+                                  "(instructions/sec)")
 
     churn_parser = sub.add_parser(
         "churn", help="container lifecycle storm: start/stop/restart "
@@ -148,7 +148,7 @@ def main(argv=None):
 
     zoo_parser = sub.add_parser(
         "zoo", help="policy ablation grid: every registered policy x "
-                    "stock workloads, tiers triangulated, writes "
+                    "stock workloads, tiers compared, writes "
                     "BENCH_zoo.json")
     zoo_parser.add_argument("--smoke", action="store_true",
                             help="smoke tier only (one app, tiny slice; CI)")

@@ -116,7 +116,7 @@ def main(argv=None):
     watch_parser.add_argument("--ratio", action="append", default=[],
                               metavar="METRIC",
                               help="watched ratio to gate (repeatable; "
-                              "default: speedup fastpath_speedup)")
+                              "default: speedup)")
     watch_parser.add_argument("--tolerance", action="append", default=[],
                               type=_parse_tolerance, metavar="TIER=FRAC",
                               help="per-tier regression band, e.g. "

@@ -3,13 +3,13 @@
 ``python -m repro.obs perfwatch FRESH [--baseline COMMITTED]`` compares
 a freshly measured trajectory against the committed one tier by tier
 and exits nonzero when any watched metric falls below its per-tier
-tolerance floor. The default watched metrics are the machine-normalized
-speedup *ratios* (batch/reference and fastpath/reference) — ratios
-transfer across machines far better than absolute access rates, which
-is what makes a CI runner's fresh measurement comparable to a
-trajectory recorded on a dev box at all. Tolerances are therefore
+tolerance floor. The default watched metric is the machine-normalized
+fastpath/reference speedup *ratio* — ratios transfer across machines
+far better than absolute access rates, which is what makes a CI
+runner's fresh measurement comparable to a trajectory recorded on a
+dev box at all. Tolerances are therefore
 per-tier: the tiny smoke tier is noise-dominated and gets a wide band,
-the medium and batch tiers are long enough to hold a tighter one.
+the medium tier is long enough to hold a tighter one.
 
 The watchdog is not married to BENCH_hotpath.json: any file with a
 ``tiers`` table works, and the watched-ratio list is configurable per
@@ -29,11 +29,11 @@ import os
 
 #: Regression floor per tier, as a fraction of the baseline value
 #: (0.35 = fail below 65% of baseline). Overridable per invocation.
-DEFAULT_TOLERANCES = {"smoke": 0.35, "medium": 0.15, "batch": 0.20}
+DEFAULT_TOLERANCES = {"smoke": 0.35, "medium": 0.15}
 DEFAULT_TOLERANCE = 0.15
 
 #: Default tier-entry keys watched for regressions (higher is better).
-WATCHED = ("speedup", "fastpath_speedup")
+WATCHED = ("speedup",)
 
 
 def repo_baseline_path(name="BENCH_hotpath.json"):

@@ -51,19 +51,13 @@ class SimConfig:
     #: same-line L1 cache memo, and the tightened trace loop. Bit-
     #: identical to the reference path by construction (DESIGN.md §11;
     #: tests/test_fastpath.py verifies every stock config both ways), so
-    #: it defaults on. ``False`` — or ``REPRO_FASTPATH=0`` in the
-    #: environment — forces the reference implementations; ``sanitize``
-    #: and ``trace`` runs fall back to them automatically.
+    #: it defaults on. ``False`` forces the reference implementations;
+    #: ``sanitize`` and ``trace`` runs fall back to them automatically.
     fastpath: bool = True
-    #: Execute attached traces in vectorized chunks (:mod:`repro.sim.batch`):
-    #: traces are compiled to flat parallel arrays at attach time and the
-    #: steady-state (memo-hit, L1-cache-hit) stream is claimed per chunk —
-    #: set-index math, tag compares, and stat folds done with numpy (or a
-    #: pure-Python fallback when numpy is absent) — punting to the scalar
-    #: fast path at any record it cannot prove is a pure hit. Requires the
-    #: fast structures (``fastpath=True`` and no sanitize/trace); bit-
-    #: identical to the reference path by the same ``as_dict()`` gate
-    #: (DESIGN.md §14; tests/test_batch.py). ``REPRO_BATCH=0`` disables.
+    #: Retired: the batched execution tier was removed (DESIGN.md §14)
+    #: and ``False`` is the only legal value. The field stays because
+    #: every field is hashed into run-cache keys, serve wire requests and
+    #: golden cell ids; dropping it would re-key all of them.
     batch: bool = False
     #: Enable the translation-coherence sanitizer: a shadow MMU that
     #: cross-checks every TLB fill/hit/invalidation against an independent
@@ -83,6 +77,11 @@ class SimConfig:
     costs: KernelCosts = dataclasses.field(default_factory=KernelCosts)
 
     def __post_init__(self):
+        if self.batch:
+            raise ValueError(
+                "SimConfig.batch: the batched execution tier was removed; "
+                "False is the only legal value (the fast path is the "
+                "accelerated tier)")
         if not self.policy:
             derived = "babelfish" if self.babelfish_tlb else "conventional"
             object.__setattr__(self, "policy", derived)

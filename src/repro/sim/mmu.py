@@ -112,11 +112,6 @@ class MMU:
         self._domain_fn = self._bf_l1d.domain_fn
         self._sanitizer = None
         self._tracer = None
-        #: Monotonic count of kernel-requested invalidations applied to
-        #: this core's TLBs. Diagnostics only (the batch engine's punt
-        #: attribution tells remote-shootdown epoch movement apart from
-        #: local churn by watching it); never part of MMUStats.
-        self.invals_applied = 0
 
     #: Optional translation-coherence sanitizer (shadow MMU); set by
     #: the simulator when ``config.sanitize`` is enabled.
@@ -152,18 +147,6 @@ class MMU:
         the sanitizer iterate this, so a policy adding a level is
         covered automatically."""
         return self._tlb_levels
-
-    def memo_peek(self, proc, segment, page_off, instr, is_write):
-        """Side-effect-free memo guard evaluation for the batch engine
-        (:mod:`repro.sim.batch`): returns the validated memo record when
-        a :meth:`TranslationMemo.probe` of the same access would hit,
-        else None. None whenever the memo itself is unwired (sanitizer/
-        tracer modes), in which case the batch path claims nothing and
-        every record takes :meth:`translate`."""
-        memo = self._memo
-        if memo is None:
-            return None
-        return memo.peek(proc, segment, page_off, instr, is_write)
 
     # -- main entry point --------------------------------------------------------
 
@@ -573,7 +556,6 @@ class MMU:
 
     def apply_invalidation(self, proc, inv):
         """Apply one kernel-requested invalidation to this core's TLBs."""
-        self.invals_applied += 1
         if self.tracer is not None:
             self.tracer.invalidation(self.core_id, proc.pid, inv.vpn,
                                      inv.scope.value)

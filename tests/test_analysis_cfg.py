@@ -386,9 +386,9 @@ class TestParallelSafetyBF601:
         assert rule_ids(findings) == ["BF601"]
 
     def test_dispatch_roots_marker_seeds_reachability(self):
-        # Modules whose entry points are dispatched from elsewhere (the
-        # batch engine's run_quantum_batch, dispatched per quantum by
-        # the simulator) opt in via a top-level DISPATCH_ROOTS tuple.
+        # Modules whose entry points are dispatched from elsewhere (a
+        # per-quantum engine the simulator calls, the serve daemon's
+        # handlers) opt in via a top-level DISPATCH_ROOTS tuple.
         findings = lint("""\
             DISPATCH_ROOTS = ("run_quantum_batch",)
             TOTALS = {}

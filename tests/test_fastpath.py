@@ -10,15 +10,16 @@ invalidation edge cases (CoW retry, cross-core shootdowns, mid-run
 measurement reset, debug-mode bypass).
 """
 
+import json
 import random
 
 import pytest
 
 from conftest import MiniSystem
 
-from repro.experiments import runcache
+from repro.experiments import perf, runcache
 from repro.experiments.common import (build_environment, config_by_name,
-                                      config_cache_key, run_app)
+                                      config_cache_key, deploy_app, run_app)
 from repro.experiments.perf import run_hot
 from repro.hw.cache import FastSetAssociativeCache, SetAssociativeCache
 from repro.hw.params import CacheParams, TLBParams, baseline_machine
@@ -27,9 +28,9 @@ from repro.hw.tlb import (FastMultiSizeTLB, FastSetAssocTLB, SetAssocTLB,
 from repro.hw.types import AccessKind, PageSize
 from repro.kernel.fault import InvalidationScope, TLBInvalidation
 from repro.kernel.vma import SegmentKind
-from repro.sim.fastpath import (FASTPATH_ENV, fastpath_active,
-                                structures_active)
+from repro.sim.fastpath import fastpath_active, structures_active
 from repro.sim.simulator import Simulator
+from repro.workloads.profiles import APP_PROFILES
 
 STOCK_CONFIGS = ("Baseline", "BabelFish", "BabelFish-PT", "BabelFish-TLB",
                  "BigTLB", "Victima", "Coalesced")
@@ -51,22 +52,6 @@ def test_stock_configs_bit_identical(name):
     cores = 2 if name == "BabelFish" else 1
     fast, ref = _run_both(name, cores=cores)
     assert fast == ref
-
-
-@pytest.mark.parametrize("name", STOCK_CONFIGS)
-def test_stock_configs_triangulate_with_batch(name):
-    # reference == fastpath == batch on the full app pipeline: the batch
-    # engine (repro.sim.batch) rides the same structures the fast path
-    # uses, so any divergence shows up against either leg.
-    cores = 2 if name == "BabelFish" else 1
-    fast, ref = _run_both(name, cores=cores)
-    batched = run_app("mongodb", config_by_name(name, batch=True),
-                      cores=cores, scale=0.03, use_cache=False)
-    assert fast == ref
-    # arch_dict strips the batch engine's punt-attribution diagnostics
-    # (engine telemetry, not architectural state) before the comparison.
-    from repro.experiments.perf import arch_dict
-    assert arch_dict(batched.result.as_dict()) == ref
 
 
 def test_sanitize_mode_bit_identical():
@@ -106,16 +91,87 @@ def test_reset_measurement_mid_run_identical():
     assert fast_dict == ref_dict
 
 
+def _run_trace(trace, fastpath=True):
+    """Run one explicit trace on every deployed mongodb container (1 core)."""
+    env = build_environment(config_by_name("BabelFish", fastpath=fastpath),
+                            cores=1)
+    deployment = deploy_app(env, APP_PROFILES["mongodb"])
+    for container in deployment.containers:
+        env.sim.attach(container.proc, list(trace), container.core)
+    return env.sim.run().as_dict()
+
+
+def _cold_planted_trace(period, periods, cold_at):
+    """Hot code/heap records with a cold, first-touch (faulting) mmap
+    record planted at each period-relative position in ``cold_at``."""
+    rng = random.Random(9)
+    records = []
+    for i in range(period * periods):
+        gap = rng.randrange(2, 5)
+        if (i % period) in cold_at:
+            records.append((1, SegmentKind.MMAP, 500 + i, 0, gap, None))
+        elif rng.random() < 0.3:
+            records.append((2, SegmentKind.HEAP, rng.randrange(6),
+                            rng.randrange(64), gap, None))
+        else:
+            records.append((0, SegmentKind.CODE, rng.randrange(4),
+                            rng.randrange(64), gap, None))
+    return records
+
+
+@pytest.mark.parametrize("cold_at", [(0,), (7,), (0, 7), ()],
+                         ids=["fault-first", "fault-last", "fault-both",
+                              "no-faults"])
+def test_faults_around_memo_hits_identical(cold_at):
+    # Faults just before or just after runs of memo-served records: the
+    # fault path's invalidations must drop exactly the records they
+    # touch, and the next hot record must reseed through the reference.
+    trace = _cold_planted_trace(8, 6, cold_at)
+    assert _run_trace(trace) == _run_trace(trace, fastpath=False)
+
+
+def test_epoch_bump_mid_stream_identical():
+    # CoW stores to fresh heap pages fault mid-stream; their shootdowns
+    # bump TLB set epochs under live memo records between hot fetches.
+    rng = random.Random(21)
+    trace = []
+    for i in range(640):
+        if i % 5 == 3:
+            trace.append((2, SegmentKind.HEAP, rng.randrange(40),
+                          rng.randrange(64), 2, None))
+        else:
+            trace.append((0, SegmentKind.CODE, rng.randrange(4),
+                          rng.randrange(64), 3, None))
+    assert _run_trace(trace) == _run_trace(trace, fastpath=False)
+
+
+def test_fuzz_mixed_configs_identical():
+    # Seeded (config, cores, records) draws over the hot-locality
+    # workload; every one must match the reference run bit for bit.
+    rng = random.Random(1234)
+    for trial in range(8):
+        name = rng.choice(STOCK_CONFIGS)
+        cores = rng.choice((1, 2))
+        records = rng.randrange(150, 700)
+        fast, _, _ = run_hot(config_by_name(name), cores, records)
+        ref, _, _ = run_hot(config_by_name(name, fastpath=False), cores,
+                            records)
+        assert fast == ref, ("fuzz trial %d diverged: %s cores=%d "
+                             "records=%d" % (trial, name, cores, records))
+
+
 # -- gating -------------------------------------------------------------------
 
 
 def test_escape_hatches(monkeypatch):
+    # SimConfig.fastpath is the one switch: the environment has no say.
     config = config_by_name("BabelFish")
     assert fastpath_active(config) and structures_active(config)
-    assert not fastpath_active(config_by_name("BabelFish", fastpath=False))
-    monkeypatch.setenv(FASTPATH_ENV, "0")
-    assert not fastpath_active(config)
-    env = build_environment(config, cores=1)
+    monkeypatch.setenv("REPRO_FASTPATH", "0")
+    assert fastpath_active(config)
+    reference = config_by_name("BabelFish", fastpath=False)
+    assert not fastpath_active(reference)
+    env = build_environment(reference, cores=1)
     assert env.sim._fast is False
     assert env.sim.mmus[0]._memo is None
 
@@ -350,3 +406,37 @@ def test_manual_process_invalidation_defeats_memo(mini_babelfish):
     miss = mmu.translate(child, SegmentKind.MMAP, 5, AccessKind.LOAD)
     assert miss.cycles > mmu.l1_cycles
     assert miss.ppn4k == hit.ppn4k
+
+
+# -- perf harness: merge-on-write trajectory ------------------------------------
+
+
+def _fake_measure(tier, repeats=None, monitor=None):
+    return {"speedup": 1.0, "identical": True,
+            "fast_accesses_per_sec": 1, "reference_accesses_per_sec": 1}
+
+
+def test_run_harness_merges_existing_tiers(tmp_path, monkeypatch):
+    # A smoke run must extend the trajectory file, not erase the tiers
+    # it did not run.
+    out = tmp_path / "BENCH_hotpath.json"
+    out.write_text(json.dumps({
+        "bench": "hotpath", "app": "mongodb",
+        "tiers": {"medium": {"speedup": 3.21, "identical": True}},
+    }))
+    monkeypatch.setattr(perf, "measure_tier", _fake_measure)
+    payload = perf.run_harness(smoke=True, out=out, progress=lambda *_: None)
+    assert set(payload["tiers"]) == {"smoke", "medium"}
+    on_disk = json.loads(out.read_text())
+    assert on_disk["tiers"]["medium"]["speedup"] == 3.21
+    assert set(on_disk["tiers"]) == {"smoke", "medium"}
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_run_harness_tolerates_corrupt_trajectory(tmp_path, monkeypatch):
+    out = tmp_path / "BENCH_hotpath.json"
+    out.write_text("{not json")
+    monkeypatch.setattr(perf, "measure_tier", _fake_measure)
+    payload = perf.run_harness(smoke=True, out=out, progress=lambda *_: None)
+    assert set(payload["tiers"]) == {"smoke"}
+    assert set(json.loads(out.read_text())["tiers"]) == {"smoke"}

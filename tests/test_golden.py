@@ -1,0 +1,67 @@
+"""Behaviour lock: golden digests of the quick report matrix.
+
+``GOLDEN.json`` at the repo root maps each cell of the quick matrix
+(``python -m repro.experiments run --quick``: 14 runs at cores=2,
+scale=0.25) to the sha256 of its canonical ``RunResult.as_dict()``.
+The test recomputes every digest in a fresh interpreter with a fixed,
+non-zero ``PYTHONHASHSEED``, so a result that leaks ``hash()`` of a
+string or tuple into simulated state (the ASLR-seed bug class) moves a
+digest instead of passing silently.
+
+Regenerate only on purpose, when a change is meant to move simulated
+results, and name every moved cell and the reason in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import hashlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN_PATH = ROOT / "GOLDEN.json"
+HASH_SEED = "20200530"
+QUICK = dict(cores=2, scale=0.25)
+
+
+def compute_digests():
+    """``{request label: sha256}`` for every cell of the quick matrix,
+    simulated here with every cache bypassed."""
+    from repro.experiments import runcache, runner
+    digests = {}
+    for request in runner.report_matrix(**QUICK):
+        run = runner.run_request(request, use_cache=False)
+        result = runner.request_summary(request, run)["result"]
+        blob = runcache.canonical_json(result).encode()
+        digests[request.label()] = hashlib.sha256(blob).hexdigest()
+    return digests
+
+
+def render(digests):
+    return json.dumps(digests, indent=1, sort_keys=True) + "\n"
+
+
+def test_quick_matrix_matches_golden():
+    golden = json.loads(GOLDEN_PATH.read_text())
+    env = dict(os.environ, PYTHONHASHSEED=HASH_SEED,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(ROOT / "src"),
+                                 os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, __file__], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    fresh = json.loads(proc.stdout)
+    assert sorted(fresh) == sorted(golden)
+    moved = sorted(cell for cell in golden if fresh[cell] != golden[cell])
+    assert not moved, "cells moved off GOLDEN.json: %s" % moved
+
+
+if __name__ == "__main__":
+    text = render(compute_digests())
+    if sys.argv[1:] == ["--write"]:
+        GOLDEN_PATH.write_text(text)
+    else:
+        sys.stdout.write(text)

@@ -26,6 +26,7 @@ from repro.obs import perfwatch
 from repro.obs.__main__ import main as obs_main
 from repro.serve import protocol
 from repro.serve.daemon import Job, ServeDaemon, TwoClassScheduler
+from repro.sim.config import SimConfig
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -152,6 +153,16 @@ class TestWireRequest:
             with pytest.raises(protocol.BadRequest) as err:
                 protocol.wire_to_request(body)
             assert needle in str(err.value)
+
+    def test_retired_batch_tier_is_rejected(self):
+        # SimConfig.batch survives only as a key field pinned to False.
+        with pytest.raises(ValueError, match="batch"):
+            SimConfig("Baseline", batch=True)
+        with pytest.raises(protocol.BadRequest) as err:
+            protocol.wire_to_request({"app": "mongodb",
+                                      "overrides": {"batch": True}})
+        assert "batch" in str(err.value)
+        assert protocol.error_body(err.value)["code"] == "bad_request"
 
     def test_request_key_matches_direct_runs(self):
         wire = {"app": "mongodb", "config_name": "BabelFish",
