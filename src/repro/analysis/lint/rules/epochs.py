@@ -1,12 +1,14 @@
 """BF401: epoch-coverage for the fast-twin backing stores (``hw/``).
 
-The exact fast path (:mod:`repro.sim.fastpath`, DESIGN §11) is only
-correct because every *content* change to a TLB/cache structure bumps
-its epoch counters — the L0 translation memo and the same-line cache
-memo replay a previous hit iff the epochs they recorded are unchanged.
+The L0 translation memo (:mod:`repro.sim.fastpath`, DESIGN §11) is only
+correct because every *content* change to a fast TLB structure
+(``FastSetAssocTLB``) bumps its per-set epoch counters — the memo
+replays a previous hit iff the set epochs it recorded are unchanged.
 PR 4's one real bug was exactly a missed bump: ``invalidate`` removed a
 line but skipped ``epoch += 1`` on a path where a ``pop``-result test
-misread the fast backing's ``None`` values.
+misread the fast backing's ``None`` values. The reference structures
+and the caches carry no epochs (nothing memoizes over them), so they
+are out of scope by the marker test below.
 
 This rule makes the contract mechanical. In every ``hw/`` class that
 carries epoch machinery, a statement that mutates a guarded backing

@@ -8,8 +8,16 @@ Entries are matched on VPN *and CCID*. On a match:
   check (and its extra latency) is skipped when ORPC is clear (Figure 5b).
 - A write hit on a CoW translation raises a CoW page fault (boxes 5/6).
 
-The lookup is policy-only: it layers on the generic
-:class:`repro.hw.tlb.MultiSizeTLB` structures.
+The lookup is policy-only: it layers on the generic TLB structures of
+:mod:`repro.hw.tlb`. Each lookup exists once per backing, with the same
+tuple returns, and the MMU binds the pair matching its backing:
+
+- :func:`babelfish_lookup` / :func:`conventional_lookup` state the
+  predicate as a closure over the generic ``MultiSizeTLB.lookup``
+  (the reference, readable against the figure);
+- :func:`babelfish_lookup_fast` / :func:`conventional_lookup_fast`
+  inline the same predicate over ``FastMultiSizeTLB`` internals, with
+  no closure per probe.
 """
 
 from repro.hw.types import PageSize
@@ -34,91 +42,62 @@ def hit_provenance(entry, proc):
     return entry.inserted_by != proc.pid
 
 
-class LookupResult:
-    """One TLB-level lookup outcome (allocated per probe on the hot path,
-    hence ``__slots__`` rather than a dataclass).
-
-    ``consulted_bitmask``: the PC bitmask had to be consulted, so the L2
-    TLB access takes the long (12-cycle) time instead of the short
-    (10-cycle) one. ``cow_fault``: the hit entry is CoW and the access is
-    a write — CoW page fault.
-    """
-
-    __slots__ = ("entry", "page_size", "consulted_bitmask", "cow_fault")
-
-    def __init__(self, entry, page_size, consulted_bitmask=False,
-                 cow_fault=False):
-        self.entry = entry            # TLBEntry or None
-        self.page_size = page_size    # PageSize or None
-        self.consulted_bitmask = consulted_bitmask
-        self.cow_fault = cow_fault
-
-    @property
-    def hit(self):
-        return self.entry is not None and not self.cow_fault
-
-
-class BabelFishLookup:
-    """Reusable lookup engine for one TLB level.
+def babelfish_lookup(multi, vpn4k, proc, is_write, domain_fn):
+    """Figure 8 over the generic :meth:`MultiSizeTLB.lookup
+    <repro.hw.tlb.MultiSizeTLB.lookup>`.
 
     ``domain_fn`` maps a TLB entry to the MaskPage scope a process's PC
-    bit is keyed by: the 1GB region by default, or the 2MB range under
-    the Appendix's per-range indirection extension.
+    bit is keyed by: the 1GB region (:func:`entry_region`) by default,
+    or the 2MB range under the Appendix's per-range indirection
+    extension. Returns ``(entry, page_size, consulted_bitmask,
+    cow_fault)``: ``consulted_bitmask`` means the PC bitmask had to be
+    read, so the L2 TLB access takes the long (12-cycle) time instead
+    of the short (10-cycle) one; ``cow_fault`` means the hit entry is
+    CoW and the access is a write (CoW page fault).
     """
-
-    def __init__(self, multi_tlb, domain_fn=None):
-        self.multi_tlb = multi_tlb
-        self.domain_fn = domain_fn or entry_region
-
-    def lookup(self, vpn4k, proc, is_write=False):
-        consulted = [False]
-        pcid, ccid = proc.pcid, proc.ccid
-        pc_bits = proc.pc_bits
-        domain_fn = self.domain_fn
-
-        def match(entry):
-            if entry.ccid != ccid:
-                return False                            # box 1: no CCID match
-            if entry.o_bit:
-                return entry.pcid == pcid               # boxes 2, 9
-            if entry.orpc:
-                consulted[0] = True                     # box 3 (long access)
-                bit = pc_bits.get(domain_fn(entry))
-                if bit is not None and (entry.pc_mask >> bit) & 1:
-                    return False                        # process has private copy
-            if is_write and not entry.writable and not entry.cow:
-                return False                            # permission miss
-            return True
-
-        entry, size = self.multi_tlb.lookup(vpn4k, match)
-        cow_fault = bool(entry is not None and is_write and entry.cow)  # box 5/6
-        return LookupResult(entry, size, consulted[0], cow_fault)
-
-
-def conventional_lookup(multi_tlb, vpn4k, proc, is_write=False):
-    """Baseline lookup: VPN + PCID match (Figure 1), permission-checked."""
+    consulted = False
+    pcid, ccid = proc.pcid, proc.ccid
+    pc_bits = proc.pc_bits
 
     def match(entry):
-        if entry.pcid != proc.pcid:
+        nonlocal consulted
+        if entry.ccid != ccid:
+            return False                            # box 1: no CCID match
+        if entry.o_bit:
+            return entry.pcid == pcid               # boxes 2, 9
+        if entry.orpc:
+            consulted = True                        # box 3 (long access)
+            bit = pc_bits.get(domain_fn(entry))
+            if bit is not None and (entry.pc_mask >> bit) & 1:
+                return False                        # process has private copy
+        if is_write and not entry.writable and not entry.cow:
+            return False                            # permission miss
+        return True
+
+    entry, size = multi.lookup(vpn4k, match)
+    cow_fault = entry is not None and is_write and entry.cow  # box 5/6
+    return entry, size, consulted, cow_fault
+
+
+def conventional_lookup(multi, vpn4k, pcid, is_write):
+    """Baseline lookup: VPN + PCID match (Figure 1), permission-checked.
+    Returns ``(entry, page_size, cow_fault)``."""
+
+    def match(entry):
+        if entry.pcid != pcid:
             return False
         if is_write and not entry.writable and not entry.cow:
             return False
         return True
 
-    entry, size = multi_tlb.lookup(vpn4k, match)
-    cow_fault = bool(entry is not None and is_write and entry.cow)
-    return LookupResult(entry, size, False, cow_fault)
+    entry, size = multi.lookup(vpn4k, match)
+    return entry, size, entry is not None and is_write and entry.cow
 
 
 def babelfish_lookup_fast(multi, vpn4k, proc, is_write, domain_fn):
-    """:meth:`BabelFishLookup.lookup` with the Figure 8 predicate inlined
-    over :class:`~repro.hw.tlb.FastMultiSizeTLB` internals.
-
-    Same hits/misses/LRU effects, no closure or :class:`LookupResult`
-    allocation per probe. Returns ``(entry, page_size, consulted_bitmask,
-    cow_fault)``; only the simulator fast path calls this, and
-    tests/test_fastpath.py drives it against the reference lookup.
-    """
+    """:func:`babelfish_lookup` with the Figure 8 predicate inlined over
+    :class:`~repro.hw.tlb.FastMultiSizeTLB` internals: same returns and
+    the same hits/misses/LRU effects, with no closure per probe."""
     pcid = proc.pcid
     ccid = proc.ccid
     pc_bits = proc.pc_bits
@@ -154,8 +133,8 @@ def babelfish_lookup_fast(multi, vpn4k, proc, is_write, domain_fn):
 
 def conventional_lookup_fast(multi, vpn4k, pcid, is_write):
     """:func:`conventional_lookup` inlined over
-    :class:`~repro.hw.tlb.FastMultiSizeTLB` internals; returns
-    ``(entry, page_size, cow_fault)``."""
+    :class:`~repro.hw.tlb.FastMultiSizeTLB` internals (same returns and
+    effects)."""
     for size, shift, tlb in multi._probe:
         vpn = vpn4k >> shift
         index = vpn & tlb.set_mask

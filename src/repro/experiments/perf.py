@@ -1,7 +1,9 @@
-"""Hot-path perf harness: fast path vs reference, on a steady-state trace.
+"""Hot-path perf harness: fast vs reference structures, on a steady-state
+trace.
 
-The fast path (:mod:`repro.sim.fastpath`) accelerates the *repeat* case —
-the L1-TLB-hit, L1-cache-hit stream that dominates once an application
+The fast backing (dict-backed TLB/cache sets plus the L0 translation
+memo of :mod:`repro.sim.fastpath`) accelerates the *repeat* case — the
+L1-TLB-hit, L1-cache-hit stream that dominates once an application
 reaches steady state. The stock synthetic workloads deliberately sweep
 large working sets (their point is to miss), so at benchmark scale they
 spend most records on compulsory misses and understate what the fast
@@ -12,8 +14,9 @@ small code/heap/dataset working set that is TLB-resident after warm-up
 tail so the slow path stays exercised.
 
 Each tier runs the identical workload twice — ``fastpath=True`` and
-``fastpath=False`` — asserts the two ``RunResult.as_dict()`` are
-bit-identical, and reports the accesses/sec ratio. The trajectory file
+``fastpath=False``, the same simulation driver over the two structure
+backings — asserts the two ``RunResult.as_dict()`` are bit-identical,
+and reports the accesses/sec ratio. The trajectory file
 ``BENCH_hotpath.json`` (repo root) is machine-normalized: the tracked
 metric is the fast/reference *ratio*; the raw accesses/sec figures ride
 along for local context only and are expected to differ across machines.

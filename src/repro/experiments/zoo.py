@@ -3,10 +3,10 @@
 The registry (:mod:`repro.core.policy`) turns the repo from "one paper
 reproduced" into a translation-architecture lab; this experiment is the
 lab bench. For every stock workload x zoo config it runs the simulation
-twice — reference and fast path — asserts the two tiers bit-identical
-(the same contract tests/test_fastpath.py pins per config), and
-tabulates L2 TLB MPKI and translation latency (cycles per access) for
-each policy against the Baseline and BabelFish arms.
+twice — on the reference and the fast structures — asserts the two
+tiers bit-identical (the same contract tests/test_fastpath.py pins per
+config), and tabulates L2 TLB MPKI and translation latency (cycles per
+access) for each policy against the Baseline and BabelFish arms.
 
 Runs are sharded through :func:`repro.experiments.runner.execute`
 (``--jobs N``), so the grid rides the same memo/disk caches as every

@@ -6,7 +6,7 @@ containers or BabelFish; the BabelFish-specific lookup policy lives in
 structures defined here.
 """
 
-from repro.hw.types import AccessKind, MemoryLevel, PageSize
+from repro.hw.types import AccessKind, PageSize
 from repro.hw.params import (
     CacheParams,
     CoreParams,
@@ -24,7 +24,6 @@ from repro.hw.cacti import SRAMModel, l2_tlb_report
 
 __all__ = [
     "AccessKind",
-    "MemoryLevel",
     "PageSize",
     "CacheParams",
     "CoreParams",

@@ -6,9 +6,13 @@ propagate to every level on the way back (non-inclusive, fill-on-miss).
 This is the level of fidelity the paper's translation study needs: what
 matters is *which level* a page-walk request or data access hits in, which
 is determined by sharing of physical lines across containers.
-"""
 
-from repro.hw.types import AccessKind, MemoryLevel
+Each cache has two interchangeable set backings, chosen by
+``SimConfig.fastpath`` alone: the stamp-scan reference
+:class:`SetAssociativeCache` (the oracle) and the recency-dict
+:class:`FastSetAssociativeCache`. :class:`CacheHierarchy` has one
+access path over either.
+"""
 
 
 class SetAssociativeCache:
@@ -34,11 +38,6 @@ class SetAssociativeCache:
         self.misses = 0
         self.evictions = 0
         self.writebacks = 0
-        #: Monotonic change counter: bumped on insert and on any
-        #: invalidate/flush that removed a line. Hits re-stamp LRU state
-        #: but do not change residency, so they leave it alone; the
-        #: hierarchy's same-line memo relies on exactly that contract.
-        self.epoch = 0
 
     def _index_tag(self, paddr):
         line = paddr >> self.line_bits
@@ -73,24 +72,16 @@ class SetAssociativeCache:
         cset[tag] = self._stamp
         if is_write:
             self._dirty.add((index, tag))
-        self.epoch += 1
 
     def invalidate(self, paddr):
         index, tag = self._index_tag(paddr)
-        cset = self._sets[index]
-        # Membership, not pop-default: the fast backing stores None as
-        # the per-tag value, which a pop-is-None test would misread as
-        # "absent" and skip the epoch bump.
-        if tag in cset:
-            del cset[tag]
-            self.epoch += 1
+        self._sets[index].pop(tag, None)
         self._dirty.discard((index, tag))
 
     def flush(self):
         for cset in self._sets:
             cset.clear()
         self._dirty.clear()
-        self.epoch += 1
 
     @property
     def occupancy(self):
@@ -111,9 +102,9 @@ class FastSetAssociativeCache(SetAssociativeCache):
     a recency-ordered dict (oldest first; hits delete + reinsert), making
     eviction ``next(iter(set))`` instead of an O(ways) ``min`` — the same
     victim, without the scan. Hit/miss/eviction/writeback counters,
-    dirty-line state, ``occupancy``, and the ``epoch`` contract all match
-    the reference bit for bit (tests/test_fastpath.py drives both against
-    random access streams).
+    dirty-line state and ``occupancy`` all match the reference bit for
+    bit (tests/test_fastpath.py drives both against random access
+    streams).
     """
 
     def lookup(self, paddr, is_write=False):
@@ -148,11 +139,14 @@ class FastSetAssociativeCache(SetAssociativeCache):
         cset[tag] = None
         if is_write:
             self._dirty.add((index, tag))
-        self.epoch += 1
 
 
 class CacheHierarchy:
-    """Per-core L1I/L1D + private L2, shared L3, and DRAM behind it."""
+    """Per-core L1I/L1D + private L2, shared L3, and DRAM behind it.
+
+    ``fastpath`` picks the set backing of every cache; the access path
+    below is the same for both.
+    """
 
     def __init__(self, machine, dram, fastpath=False):
         self.machine = machine
@@ -162,138 +156,40 @@ class CacheHierarchy:
         self.l1d = [cache_cls(machine.l1d) for _ in range(machine.cores)]
         self.l2 = [cache_cls(machine.l2) for _ in range(machine.cores)]
         self.l3 = cache_cls(machine.l3)
-        #: Same-line fast path (SimConfig.fastpath): per core, per L1
-        #: structure (0=ifetch, 1=data), the last line that hit in L1 as
-        #: ``(line, epoch-at-hit)``. A repeat access to the same line
-        #: while the L1's epoch is unchanged (line still resident) takes
-        #: the short-circuit below, which replays the reference hit path
-        #: (stamp, dirty, hit counter) without the lookup call chain.
-        self.fastpath = bool(fastpath)
-        self._line_memo = [[None, None] for _ in range(machine.cores)]
 
-    def _l1_for(self, core_id, kind):
-        if kind is AccessKind.IFETCH:
-            return self.l1i[core_id]
-        return self.l1d[core_id]
+    def access(self, core_id, paddr, kind_code=1, skip_l1=False):
+        """Run one access through the hierarchy; returns its cycles.
 
-    def access(self, core_id, paddr, kind=AccessKind.LOAD, skip_l1=False):
-        """Run one access through the hierarchy.
-
-        Returns ``(cycles, level)`` where ``level`` is the
-        :class:`MemoryLevel` that served the access. ``skip_l1`` models
-        page-walker requests, which in x86 go directly to the L2 cache
-        (the walker does not consult the L1 data cache in our model,
-        matching the paper's Figure 7 where walk requests are shown
-        probing L2 then L3 then memory).
+        ``kind_code`` is the trace-record kind (0=ifetch, 1=load,
+        2=store). ``skip_l1`` models page-walker requests, which in x86
+        go directly to the L2 cache (the walker does not consult the L1
+        data cache in our model, matching the paper's Figure 7 where
+        walk requests are shown probing L2 then L3 then memory).
         """
-        is_write = kind is AccessKind.STORE
-        cycles = 0
-        l1 = None
-        if not skip_l1:
-            ifetch = kind is AccessKind.IFETCH
-            l1 = self.l1i[core_id] if ifetch else self.l1d[core_id]
-            if self.fastpath:
-                slot = self._line_memo[core_id]
-                way = 0 if ifetch else 1
-                line = paddr >> l1.line_bits
-                cached = slot[way]
-                if cached is not None and cached[0] == line \
-                        and cached[1] == l1.epoch:
-                    # Exact replay of the L1-hit path: the line is still
-                    # resident (epoch unmoved), so move it to MRU, mark
-                    # dirty on writes, and count the hit.
-                    index = line & l1.set_mask
-                    tag = line >> l1._tag_shift
-                    cset = l1._sets[index]
-                    del cset[tag]
-                    cset[tag] = None
-                    if is_write:
-                        l1._dirty.add((index, tag))
-                    l1.hits += 1
-                    return l1.access_cycles, MemoryLevel.L1
-            cycles += l1.access_cycles
-            if l1.lookup(paddr, is_write):
-                if self.fastpath:
-                    slot[way] = (line, l1.epoch)
-                return cycles, MemoryLevel.L1
-
-        l2 = self.l2[core_id]
-        cycles += l2.access_cycles
-        if l2.lookup(paddr, is_write):
-            if not skip_l1:
-                l1.insert(paddr, is_write)
-                if self.fastpath:
-                    slot[way] = (line, l1.epoch)
-            return cycles, MemoryLevel.L2
-
-        cycles += self.l3.access_cycles
-        if self.l3.lookup(paddr, is_write):
-            level = MemoryLevel.L3
-        else:
-            cycles += self.dram.access(paddr)
-            self.l3.insert(paddr, is_write)
-            level = MemoryLevel.DRAM
-
-        l2.insert(paddr, is_write)
-        if not skip_l1:
-            l1.insert(paddr, is_write)
-            if self.fastpath:
-                slot[way] = (line, l1.epoch)
-        return cycles, level
-
-    def data_access(self, core_id, paddr, kind_code):
-        """:meth:`access` specialized for the fast trace loop: demand
-        accesses only (never ``skip_l1``), trace-record kind codes
-        (0=ifetch, 1=load, 2=store) instead of :class:`AccessKind`, the
-        L1 probe and same-line memo inlined, and a plain cycle count
-        returned instead of a ``(cycles, level)`` tuple. State changes
-        are identical to :meth:`access`; only dispatched when the
-        hierarchy was built with ``fastpath=True``."""
         is_write = kind_code == 2
-        ifetch = kind_code == 0
-        l1 = self.l1i[core_id] if ifetch else self.l1d[core_id]
-        line = paddr >> l1.line_bits
-        index = line & l1.set_mask
-        tag = line >> l1._tag_shift
-        cset = l1._sets[index]
-        slot = self._line_memo[core_id]
-        way = 0 if ifetch else 1
-        cached = slot[way]
-        if cached is not None and cached[0] == line \
-                and cached[1] == l1.epoch:
-            del cset[tag]
-            cset[tag] = None
-            if is_write:
-                l1._dirty.add((index, tag))
-            l1.hits += 1
-            return l1.access_cycles
-        cycles = l1.access_cycles
-        if tag in cset:
-            # Inline FastSetAssociativeCache.lookup hit.
-            del cset[tag]
-            cset[tag] = None
-            if is_write:
-                l1._dirty.add((index, tag))
-            l1.hits += 1
-            slot[way] = (line, l1.epoch)
-            return cycles
-        l1.misses += 1
+        if skip_l1:
+            l1 = None
+            cycles = 0
+        else:
+            l1 = self.l1i[core_id] if kind_code == 0 else self.l1d[core_id]
+            cycles = l1.access_cycles
+            if l1.lookup(paddr, is_write):
+                return cycles
 
         l2 = self.l2[core_id]
         cycles += l2.access_cycles
         if l2.lookup(paddr, is_write):
-            l1.insert(paddr, is_write)
-            slot[way] = (line, l1.epoch)
+            if l1 is not None:
+                l1.insert(paddr, is_write)
             return cycles
 
         cycles += self.l3.access_cycles
         if not self.l3.lookup(paddr, is_write):
             cycles += self.dram.access(paddr)
             self.l3.insert(paddr, is_write)
-
         l2.insert(paddr, is_write)
-        l1.insert(paddr, is_write)
-        slot[way] = (line, l1.epoch)
+        if l1 is not None:
+            l1.insert(paddr, is_write)
         return cycles
 
     def invalidate_line(self, paddr):

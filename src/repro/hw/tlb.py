@@ -1,31 +1,30 @@
 """Generic set-associative TLB structures (Figure 1 / Figure 3).
 
 A :class:`SetAssocTLB` stores :class:`TLBEntry` objects and is policy-free:
-``candidates(vpn)`` returns every valid way in the set whose VPN matches,
-and the caller decides which (if any) is a hit. The conventional
+``lookup(vpn, match)`` returns the first valid way in the set whose VPN
+matches and which the caller's predicate accepts. The conventional
 per-process policy (VPN + PCID match) lives here as
 :func:`conventional_match`; the BabelFish policy (Figure 8) lives in
 :mod:`repro.core.babelfish_tlb`.
 
-Two interchangeable backings exist for each structure:
+Two interchangeable backings exist for each structure, chosen by
+``SimConfig.fastpath`` alone; the simulator drives both through the
+same translate pass:
 
 - :class:`SetAssocTLB` / :class:`MultiSizeTLB` — the reference
   implementations: linear scans over per-set lists, ``id()``-keyed LRU
-  stamps. Simple enough to audit against the paper's figures.
+  stamps. Simple enough to audit against the paper's figures, and the
+  oracle the fast backing is tested against.
 - :class:`FastSetAssocTLB` / :class:`FastMultiSizeTLB` — dict-backed
-  drop-ins selected by ``SimConfig.fastpath``: per-set ``{vpn:
-  [entries]}`` buckets make lookup O(matching ways), and a move-to-end
-  recency dict replaces the stamp scan. They produce bit-identical
-  hit/miss/eviction/iteration behaviour (tests/test_fastpath.py drives
-  both against random operation streams), and additionally maintain the
-  per-set epoch counters the L0 translation memo
-  (:mod:`repro.sim.fastpath`) validates against.
-
-Every structure carries a monotonic ``epoch`` counter bumped whenever
-its contents change (insert / effective invalidate / effective flush);
-``MultiSizeTLB`` aggregates its children's bumps. Epochs never reset,
-are never exported in results, and exist solely so cached lookups can
-prove "nothing changed since I was recorded".
+  drop-ins: per-set ``{vpn: [entries]}`` buckets make lookup
+  O(matching ways), and a move-to-end recency dict replaces the stamp
+  scan. They produce bit-identical hit/miss/eviction/iteration
+  behaviour (tests/test_fastpath.py drives both against random
+  operation streams), and additionally maintain the per-set epoch
+  counters the L0 translation memo (:mod:`repro.sim.fastpath`)
+  validates against. Epochs never reset and are never exported in
+  results; they exist solely so a memoized hit can prove "nothing
+  changed in this set since I was recorded".
 """
 
 from repro.hw.types import PageSize
@@ -90,27 +89,9 @@ class SetAssocTLB:
         self.misses = 0
         self.insertions = 0
         self.invalidations = 0
-        #: Monotonic change counter: bumped on insert and on any
-        #: invalidate/flush that actually removed something. Lookups do
-        #: not bump it (recency is not part of the guarded contract).
-        self.epoch = 0
-        #: Back-reference set by :class:`MultiSizeTLB` so child bumps
-        #: propagate to the level's aggregate epoch.
-        self.owner = None
-
-    def _bump_epoch(self):
-        self.epoch += 1
-        owner = self.owner
-        if owner is not None:
-            owner.epoch += 1
 
     def _set_for(self, vpn):
         return vpn & self.set_mask
-
-    def candidates(self, vpn):
-        """All valid entries in vpn's set whose VPN matches."""
-        return [e for e in self._sets[self._set_for(vpn)]
-                if e.valid and e.vpn == vpn]
 
     def lookup(self, vpn, match, record=True):
         """Find a hit using predicate ``match(entry)``; updates LRU and stats."""
@@ -146,7 +127,6 @@ class SetAssocTLB:
                     tset[i] = entry
                     self._touch(entry)
                     self.insertions += 1
-                    self._bump_epoch()
                     return old
         evicted = None
         # invalidate()/flush() remove entries as they mark them invalid,
@@ -158,7 +138,6 @@ class SetAssocTLB:
         tset.append(entry)
         self._touch(entry)
         self.insertions += 1
-        self._bump_epoch()
         return evicted
 
     def invalidate(self, vpn, pred=None):
@@ -173,8 +152,6 @@ class SetAssocTLB:
                 self._stamps[index].pop(id(entry), None)
                 removed += 1
         self.invalidations += removed
-        if removed:
-            self._bump_epoch()
         return removed
 
     def flush(self, pred=None):
@@ -194,8 +171,6 @@ class SetAssocTLB:
                 self._sets[index] = keep
                 removed += dropped
         self.invalidations += removed
-        if removed:
-            self._bump_epoch()
         return removed
 
     def entries(self):
@@ -225,10 +200,6 @@ class MultiSizeTLB:
     def __init__(self, params_by_size, tlb_cls=None):
         tlb_cls = tlb_cls or SetAssocTLB
         self.tlbs = {p.page_size: tlb_cls(p) for p in params_by_size}
-        #: Aggregate change counter: bumped whenever any child bumps.
-        self.epoch = 0
-        for tlb in self.tlbs.values():
-            tlb.owner = self
 
     def lookup(self, vaddr_vpn4k, match, page_size=None):
         """Probe by a 4K VPN; ``page_size`` restricts to one structure.
@@ -284,8 +255,8 @@ class FastSetAssocTLB(SetAssocTLB):
       reinsert). Its first key is the entry with the minimum reference
       stamp, so eviction picks the same victim.
     - ``_sets`` is still maintained as the per-set insertion-order list,
-      keeping ``entries()`` / ``candidates()`` iteration order — and
-      therefore sanitizer scans and flush order — bit-identical.
+      keeping ``entries()`` iteration order — and therefore sanitizer
+      scans and flush order — bit-identical.
     - ``_set_epochs[set]`` counts content changes per set; the L0
       translation memo (:mod:`repro.sim.fastpath`) records an entry's
       set epoch and trusts a hit only while it is unchanged.
@@ -296,10 +267,6 @@ class FastSetAssocTLB(SetAssocTLB):
         self._buckets = [dict() for _ in range(self.num_sets)]
         self._lru = [dict() for _ in range(self.num_sets)]
         self._set_epochs = [0] * self.num_sets
-
-    def candidates(self, vpn):
-        bucket = self._buckets[vpn & self.set_mask].get(vpn)
-        return list(bucket) if bucket else []
 
     def lookup(self, vpn, match, record=True):
         index = vpn & self.set_mask
@@ -339,7 +306,6 @@ class FastSetAssocTLB(SetAssocTLB):
                         lru[entry] = None
                         self.insertions += 1
                         self._set_epochs[index] += 1
-                        self._bump_epoch()
                         return old
         evicted = None
         if len(lru) >= self.ways:
@@ -359,7 +325,6 @@ class FastSetAssocTLB(SetAssocTLB):
         tset.append(entry)
         self.insertions += 1
         self._set_epochs[index] += 1
-        self._bump_epoch()
         return evicted
 
     def invalidate(self, vpn, pred=None):
@@ -382,7 +347,6 @@ class FastSetAssocTLB(SetAssocTLB):
         self.invalidations += removed
         if removed:
             self._set_epochs[index] += 1
-            self._bump_epoch()
         return removed
 
     def flush(self, pred=None):
@@ -420,34 +384,17 @@ class FastSetAssocTLB(SetAssocTLB):
                 self._set_epochs[index] += 1
                 removed += here
         self.invalidations += removed
-        if removed:
-            self._bump_epoch()
         return removed
 
 
 class FastMultiSizeTLB(MultiSizeTLB):
     """:class:`MultiSizeTLB` over :class:`FastSetAssocTLB` children, with
-    the per-size probe sequence (size, 4K-shift, structure) precomputed so
-    the hot lookup does no dict/list building per call."""
+    the per-size probe sequence (size, 4K-shift, structure) precomputed
+    for the inlined lookups of :mod:`repro.core.babelfish_tlb` and the
+    L0 memo."""
 
     def __init__(self, params_by_size):
         super().__init__(params_by_size, tlb_cls=FastSetAssocTLB)
         self._probe = tuple(
             (size, size.shift - PageSize.SIZE_4K.shift, tlb)
             for size, tlb in self.tlbs.items())
-
-    def lookup(self, vaddr_vpn4k, match, page_size=None):
-        if page_size is not None:
-            tlb = self.tlbs.get(page_size)
-            if tlb is None:
-                return None, None
-            shift = page_size.shift - PageSize.SIZE_4K.shift
-            entry = tlb.lookup(vaddr_vpn4k >> shift, match)
-            if entry is not None:
-                return entry, page_size
-            return None, None
-        for size, shift, tlb in self._probe:
-            entry = tlb.lookup(vaddr_vpn4k >> shift, match)
-            if entry is not None:
-                return entry, size
-        return None, None

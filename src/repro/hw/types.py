@@ -25,15 +25,6 @@ class AccessKind(enum.Enum):
         return self is AccessKind.STORE
 
 
-class MemoryLevel(enum.Enum):
-    """Which level of the memory hierarchy served an access."""
-
-    L1 = 1
-    L2 = 2
-    L3 = 3
-    DRAM = 4
-
-
 class PageSize(enum.Enum):
     """Page sizes supported by the TLBs (Table I)."""
 

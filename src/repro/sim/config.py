@@ -46,13 +46,13 @@ class SimConfig:
     #: Scheduler quantum in instructions (Table I's 10ms scaled down with
     #: the measurement slice; see DESIGN.md Section 4).
     quantum_instructions: int = 20_000
-    #: Enable the exact simulator fast path (:mod:`repro.sim.fastpath`):
-    #: the per-core L0 translation memo, dict-backed TLB sets, the
-    #: same-line L1 cache memo, and the tightened trace loop. Bit-
-    #: identical to the reference path by construction (DESIGN.md §11;
+    #: Pick the structures under the one simulation driver: dict-backed
+    #: TLB and cache sets plus the per-core L0 translation memo
+    #: (:mod:`repro.sim.fastpath`), or, with ``False``, the reference
+    #: structures and no memo. Bit-identical either way (DESIGN.md §11;
     #: tests/test_fastpath.py verifies every stock config both ways), so
-    #: it defaults on. ``False`` forces the reference implementations;
-    #: ``sanitize`` and ``trace`` runs fall back to them automatically.
+    #: it defaults on. ``sanitize`` and ``trace`` keep the backing and
+    #: only unwire the memo.
     fastpath: bool = True
     #: Retired: the batched execution tier was removed (DESIGN.md §14)
     #: and ``False`` is the only legal value. The field stays because

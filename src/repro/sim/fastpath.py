@@ -1,55 +1,41 @@
-"""The simulator's exact fast path: L0 translation memo + tight trace loop.
+"""The simulator's quantum loop and the L0 translation memo in front of it.
 
 Every experiment funnels millions of trace records through
-``Simulator._run_quantum`` -> ``MMU.translate`` -> TLB lookups ->
+:func:`run_quantum` -> ``MMU.translate`` -> TLB lookups ->
 ``CacheHierarchy.access``; per-access interpreter overhead dominates
 end-to-end latency. Mirroring the fast/slow split of Utopia (PAPERS.md)
 — and exploiting the same page-level locality BabelFish itself banks on
-— this module short-circuits the *repeat* case while provably preserving
-every architectural observable:
+— the memo short-circuits the *repeat* case in front of the one
+translate pass, while provably preserving every architectural
+observable:
 
-- :func:`fastpath_active` / :func:`structures_active` gate everything on
-  ``SimConfig.fastpath`` (default on), the single switch that forces the
-  reference path; sanitize/trace runs always take the reference path.
 - :class:`TranslationMemo` caches, per (pid, segment, page) and per
   access space (ifetch/data), the L1 TLB entry that hit last time plus
-  everything needed to *replay* the reference hit: the precomputed
-  ppn4k, the entry's set and set-epoch in its (fast) TLB structure, the
+  everything needed to *replay* that hit: the precomputed ppn4k, the
+  entry's set and set-epoch in its (fast) TLB structure, the
   set-epochs of any structures probed before it, and the ORPC bitmask
   scope for re-checking ``proc.pc_bits`` live. A probe serves the access
-  only when it can prove the reference lookup would return the same
-  entry with the same side effects (see DESIGN.md §11 for the exactness
-  argument); otherwise it falls through to the reference path, which
-  reseeds.
-- :func:`run_quantum_fast` is ``Simulator._run_quantum`` with prebound
-  locals, a tuple-indexed kind table, and a per-core reused
-  :class:`~repro.sim.mmu.TranslationResult` instead of a fresh
-  allocation per record. It is only dispatched when no tracer/sanitizer
-  is wired, so the (then no-op) tracer hooks are omitted.
+  only when it can prove the translate pass would return the same entry
+  with the same side effects (see DESIGN.md §11 for the exactness
+  argument); otherwise it falls through to the pass, which reseeds.
+  The memo exists only on the fast TLB backing (``SimConfig.fastpath``)
+  and is unwired while a sanitizer or tracer is attached, whose hooks
+  must see every lookup.
+- :func:`run_quantum` is the only trace loop: prebound locals, a
+  tuple-indexed kind table, a per-core reused
+  :class:`~repro.sim.mmu.TranslationResult`, and the memo replay
+  inlined. The tracer's clock tick and quantum event are its only hooks.
 
 Nothing here is ever exported into a :class:`~repro.sim.stats.RunResult`
 — epochs and memo state are internal, so ``RunResult.as_dict()`` of a
-fast run is bit-identical to the reference run (tests/test_fastpath.py
-asserts this for every stock config).
+run on the fast backing is bit-identical to one on the reference
+backing (tests/test_fastpath.py asserts this for every stock config).
 """
 
 from repro.hw.types import AccessKind
 
 #: Trace-record kind codes index this directly (0=IFETCH 1=LOAD 2=STORE).
 _KINDS = (AccessKind.IFETCH, AccessKind.LOAD, AccessKind.STORE)
-
-
-def fastpath_active(config):
-    """True when ``config`` allows the fast path."""
-    return getattr(config, "fastpath", True)
-
-
-def structures_active(config):
-    """True when the fast structures (FastSetAssocTLB, memo, tight loop)
-    should back this config. Sanitize/trace runs use the reference path:
-    they are debug modes whose per-event hooks the memo would bypass."""
-    return (fastpath_active(config) and not config.sanitize
-            and not config.trace)
 
 
 class TranslationMemo:
@@ -66,11 +52,12 @@ class TranslationMemo:
     structure the multi-size lookup probed (and missed) before the hit,
     ``write_ok`` is ``entry.writable and not entry.cow``, and
     ``mask_domain`` is the ORPC bitmask scope to re-check against
-    ``proc.pc_bits`` (None when the reference match does no mask check).
+    ``proc.pc_bits`` (None when the lookup does no mask check).
 
-    A probe hit replays the reference side effects exactly: the access
-    and L1-hit counters, one miss per pre-probed structure, the hit
-    structure's hit counter, and the entry's move-to-end LRU touch.
+    A probe hit replays the translate pass's L1-hit side effects
+    exactly: the access and L1-hit counters, one miss per pre-probed
+    structure, the hit structure's hit counter, and the entry's
+    move-to-end LRU touch.
     """
 
     __slots__ = ("i", "d", "share_l1", "domain_fn", "limit")
@@ -83,8 +70,8 @@ class TranslationMemo:
         self.limit = limit
 
     def probe(self, proc, segment, page_off, instr, is_write, stats):
-        """Serve a repeat access, or return None to take the reference
-        path (which reseeds on its own L1 hit)."""
+        """Serve a repeat access, or return None to take the translate
+        pass (which reseeds on its own L1 hit)."""
         table = self.i if instr else self.d
         key = (proc.pid, segment, page_off)
         rec = table.get(key)
@@ -100,7 +87,7 @@ class TranslationMemo:
         if is_write:
             if not write_ok:
                 # Permission miss or CoW write fault — both leave the
-                # L1-hit fast case; the reference path handles them.
+                # L1-hit fast case; the translate pass handles them.
                 return None
         elif write_seeded:
             # A write-seeded record proves nothing about reads: an
@@ -119,7 +106,7 @@ class TranslationMemo:
                 # A structure probed before the hit changed; a new entry
                 # there could now shadow the memoized one.
                 return None
-        # -- exact replay of the reference L1-hit side effects ----------
+        # -- exact replay of the translate pass's L1-hit side effects --
         if instr:
             stats.accesses_i += 1
             stats.l1_hits_i += 1
@@ -136,8 +123,8 @@ class TranslationMemo:
 
     def seed(self, proc, segment, page_off, instr, is_write, lookup_vpn,
              entry, multi, ppn4k):
-        """Record a reference L1 hit so the next access to the same page
-        can be served by :meth:`probe`."""
+        """Record an L1 hit of the translate pass so the next access to
+        the same page can be served by :meth:`probe`."""
         size = entry.page_size
         pre = []
         tlb = None
@@ -164,21 +151,24 @@ class TranslationMemo:
             mask_domain, pc_mask, tuple(pre))
 
 
-def run_quantum_fast(sim, core_id, proc):
-    """``Simulator._run_quantum`` with prebound locals, a reused
-    translation result, and the L0 memo replay inlined into the loop
-    (the exact guard-and-replay sequence of :meth:`TranslationMemo.probe`
-    — a record failing a guard falls through to ``mmu.translate``, whose
-    own probe re-runs the same checks and reaches the same verdict).
-    Dispatched only when no tracer or sanitizer is wired, so their
-    (always-None) hooks are omitted; every counter and cycle update
-    matches the reference loop exactly."""
+def run_quantum(sim, core_id, proc):
+    """Run one scheduling quantum of ``proc`` on ``core_id``: the trace
+    loop of every run, on either backing.
+
+    The L0 memo replay is inlined (the exact guard-and-replay sequence
+    of :meth:`TranslationMemo.probe` — a record failing a guard falls
+    through to ``mmu.translate``, whose own probe re-runs the same
+    checks and reaches the same verdict). With a tracer wired the memo
+    is off, so every record reaches ``translate``, preceded by the
+    tracer's clock tick."""
     mmu = sim.mmus[core_id]
     stats = mmu.stats
     trace = sim._traces.get(proc.pid)
     quantum = sim.scheduler.quantum_instructions
     translate = mmu.translate
-    data_access = sim.hierarchy.data_access
+    cache_access = sim.hierarchy.access
+    tracer = sim.tracer
+    quantum_start = sim.core_cycles[core_id]
     base_cpi = sim.base_cpi
     request_latency = sim._request_latency
     rl_get = request_latency.get
@@ -186,7 +176,8 @@ def run_quantum_fast(sim, core_id, proc):
     scratch = mmu._tr_scratch
     memo = mmu._memo
     # An empty table never hits, turning the inline replay into a plain
-    # dict miss when the memo is unwired (e.g. a hand-attached tracer).
+    # dict miss when the memo is unwired (reference backing, sanitizer
+    # or tracer).
     memo_i = memo.i if memo is not None else {}
     memo_d = memo.d if memo is not None else {}
     pid = proc.pid
@@ -198,7 +189,7 @@ def run_quantum_fast(sim, core_id, proc):
     m_cycles = 0
     # Memo-hit counter deltas, flushed to ``stats`` after the loop. All
     # increments commute with the ones ``translate`` applies directly,
-    # and nothing reads ``stats`` mid-quantum on this (hook-free) path.
+    # and no hook reads ``stats`` mid-quantum.
     acc_i = hits_i = acc_d = hits_d = 0
     finished = False
     if trace is not None:
@@ -232,7 +223,7 @@ def run_quantum_fast(sim, core_id, proc):
                                 ok = False
                                 break
                     if ok:
-                        # Exact replay of the reference L1-hit effects.
+                        # Exact replay of the pass's L1-hit effects.
                         if instr:
                             acc_i += 1
                             hits_i += 1
@@ -247,11 +238,13 @@ def run_quantum_fast(sim, core_id, proc):
                         lru[entry] = None
                         tr_cycles = l1_cycles
             if tr_cycles < 0:
+                if tracer is not None:
+                    tracer.tick(core_id, quantum_start + cycles)
                 tr = translate(proc, segment, page_off, kinds[kind_code],
                                is_write, scratch)
                 tr_cycles = tr.cycles
                 ppn4k = tr.ppn4k
-            mem_cycles = data_access(
+            mem_cycles = cache_access(
                 core_id, (ppn4k << 12) | (line << 6), kind_code)
             record_cycles = int(gap * base_cpi) + tr_cycles + mem_cycles
             cycles += record_cycles
@@ -270,6 +263,9 @@ def run_quantum_fast(sim, core_id, proc):
     stats.memory_cycles += m_cycles
     stats.instructions += insts
     sim.core_cycles[core_id] += cycles
+    if tracer is not None:
+        tracer.quantum(core_id, proc.pid, quantum_start,
+                       sim.core_cycles[core_id], insts)
     sim._proc_cycles[proc.pid] = sim._proc_cycles.get(proc.pid, 0) + cycles
     if finished:
         sim._completion[proc.pid] = sim.core_cycles[core_id]

@@ -15,23 +15,24 @@ where ``kind`` is 0=IFETCH, 1=LOAD, 2=STORE, ``segment`` is a
 segment-relative page, ``line`` the cache line within the page (0..63),
 ``gap`` the non-memory instructions preceding the access, and
 ``request_id`` an optional request tag for latency accounting.
+
+Every run, sanitized and traced ones included, goes through the one
+quantum loop (:func:`repro.sim.fastpath.run_quantum`) and the one
+translate pass; ``SimConfig.fastpath`` only picks the TLB and cache
+backings (and with them whether the L0 memo exists).
 """
 
 from repro.analysis.sanitizer import TranslationSanitizer
 from repro.hw.cache import CacheHierarchy
 from repro.hw.dram import DRAMModel
-from repro.hw.types import AccessKind
 from repro.kernel.scheduler import Scheduler
 from repro.obs.tracer import Tracer, resolve_trace_options
-from repro.sim import fastpath
+from repro.sim.fastpath import run_quantum
 from repro.sim.mmu import MMU
 from repro.sim.stats import MMUStats, RunResult
 
 #: Trace record "kind" codes.
 K_IFETCH, K_LOAD, K_STORE = 0, 1, 2
-
-_KIND = {K_IFETCH: AccessKind.IFETCH, K_LOAD: AccessKind.LOAD,
-         K_STORE: AccessKind.STORE}
 
 
 class Simulator:
@@ -42,18 +43,13 @@ class Simulator:
         self.config = config
         self.kernel = kernel
         self.dram = DRAMModel(machine.dram)
-        #: Exact fast path (repro.sim.fastpath): tight trace loop +
-        #: same-line cache memo; the MMUs make the matching choice from
-        #: the same predicate. Off under sanitize/trace (debug modes run
-        #: the reference path).
-        self._fast = fastpath.structures_active(config)
         #: Optional :class:`repro.obs.live.ProgressMonitor`; the run loop
         #: advances it once per quantum (instructions consumed).
         #: Stays None unless a harness attaches one — the hot loop then
         #: pays a single ``is not None`` test per quantum.
         self.progress = None
         self.hierarchy = CacheHierarchy(machine, self.dram,
-                                        fastpath=self._fast)
+                                        fastpath=config.fastpath)
         self.sanitizer = (TranslationSanitizer(kernel, config)
                           if config.sanitize else None)
         trace_options = resolve_trace_options(config.trace)
@@ -115,7 +111,7 @@ class Simulator:
                 if proc is None:
                     continue
                 progressed = True
-                consumed = self._run_quantum(core_id, proc)
+                consumed = run_quantum(self, core_id, proc)
                 if self.progress is not None:
                     self.progress.advance(consumed)
                 if budget is not None:
@@ -125,59 +121,6 @@ class Simulator:
             if not progressed:
                 break
         return self._finish()
-
-    def _run_quantum(self, core_id, proc):
-        if self._fast:
-            return fastpath.run_quantum_fast(self, core_id, proc)
-        mmu = self.mmus[core_id]
-        stats = mmu.stats
-        trace = self._traces.get(proc.pid)
-        quantum = self.scheduler.quantum_instructions
-        hierarchy_access = self.hierarchy.access
-        base_cpi = self.base_cpi
-        tracer = self.tracer
-        quantum_start = self.core_cycles[core_id]
-        cycles = 0
-        insts = 0
-        finished = False
-        if trace is not None:
-            while insts < quantum:
-                rec = next(trace, None)
-                if rec is None:
-                    finished = True
-                    break
-                kind_code, segment, page_off, line, gap, req_id = rec
-                kind = _KIND[kind_code]
-                if tracer is not None:
-                    tracer.tick(core_id, quantum_start + cycles)
-                tr = mmu.translate(proc, segment, page_off, kind,
-                                   is_write=kind_code == K_STORE)
-                paddr = (tr.ppn4k << 12) | (line << 6)
-                mem_cycles, _level = hierarchy_access(core_id, paddr, kind)
-                record_cycles = int(gap * base_cpi) + tr.cycles + mem_cycles
-                cycles += record_cycles
-                insts += gap + 1
-                stats.translation_cycles += tr.cycles
-                stats.memory_cycles += mem_cycles
-                if req_id is not None:
-                    self._request_latency[req_id] = (
-                        self._request_latency.get(req_id, 0) + record_cycles)
-        else:
-            finished = True
-        stats.instructions += insts
-        self.core_cycles[core_id] += cycles
-        if tracer is not None:
-            tracer.quantum(core_id, proc.pid, quantum_start,
-                           self.core_cycles[core_id], insts)
-        self._proc_cycles[proc.pid] = self._proc_cycles.get(proc.pid, 0) + cycles
-        if finished:
-            self._completion[proc.pid] = self.core_cycles[core_id]
-            self._traces.pop(proc.pid, None)
-            self.scheduler.remove(proc)
-        nxt = self.scheduler.rotate(core_id)
-        if nxt is not None and nxt is not proc:
-            self.core_cycles[core_id] += self.switch_cost
-        return insts
 
     def _finish(self):
         result = RunResult(self.config.name)

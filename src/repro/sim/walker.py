@@ -9,7 +9,6 @@ tables hit the same cache lines (Figure 7's BabelFish timeline).
 
 import dataclasses
 
-from repro.hw.types import AccessKind
 from repro.kernel.page_table import PGD, PTE, TableRef, table_index
 
 
@@ -56,9 +55,8 @@ class PageWalker:
                 if outcomes is not None:
                     outcomes.append("p")
             else:
-                access_cycles, _level_hit = self.hierarchy.access(
-                    self.core_id, entry_paddr, AccessKind.LOAD, skip_l1=True)
-                cycles += access_cycles
+                cycles += self.hierarchy.access(self.core_id, entry_paddr,
+                                                skip_l1=True)
                 if level > 1:
                     self.pwc.insert(level, entry_paddr)
                 if outcomes is not None:

@@ -5,7 +5,9 @@ import pytest
 from repro.hw.cache import CacheHierarchy, SetAssociativeCache
 from repro.hw.dram import DRAMModel
 from repro.hw.params import CacheParams, baseline_machine
-from repro.hw.types import AccessKind, MemoryLevel
+
+#: Trace-record kind codes, as CacheHierarchy.access takes them.
+IFETCH = 0
 
 
 def small_cache(size=1024, ways=2, line=64, cycles=2, name="T"):
@@ -96,44 +98,71 @@ class TestSetAssociativeCache:
         assert cache.hits == 1
 
 
+def served_by(hierarchy, cycles, kind_code=1, skip_l1=False):
+    """The level that served an access, read off its cycle count: the
+    lookup is sequential, so each level adds its access time in turn
+    and only DRAM adds more than L1+L2+L3."""
+    l1 = hierarchy.l1i[0] if kind_code == IFETCH else hierarchy.l1d[0]
+    total = 0 if skip_l1 else l1.access_cycles
+    if cycles == total and not skip_l1:
+        return "L1"
+    total += hierarchy.l2[0].access_cycles
+    if cycles == total:
+        return "L2"
+    total += hierarchy.l3.access_cycles
+    if cycles == total:
+        return "L3"
+    assert cycles > total
+    return "DRAM"
+
+
 class TestCacheHierarchy:
+    """The hierarchy on the reference caches; TestCacheHierarchyFast
+    reruns every case on the fast backing."""
+
+    fastpath = False
+
     def make(self, cores=2):
         machine = baseline_machine(cores=cores)
-        return CacheHierarchy(machine, DRAMModel(machine.dram))
+        return CacheHierarchy(machine, DRAMModel(machine.dram),
+                              fastpath=self.fastpath)
 
     def test_first_access_reaches_dram(self):
         hierarchy = self.make()
-        cycles, level = hierarchy.access(0, 0x123456)
-        assert level is MemoryLevel.DRAM
+        cycles = hierarchy.access(0, 0x123456)
+        assert served_by(hierarchy, cycles) == "DRAM"
         assert cycles > 40
 
     def test_second_access_hits_l1(self):
         hierarchy = self.make()
         hierarchy.access(0, 0x123456)
-        cycles, level = hierarchy.access(0, 0x123456)
-        assert level is MemoryLevel.L1
+        cycles = hierarchy.access(0, 0x123456)
+        assert served_by(hierarchy, cycles) == "L1"
         assert cycles == hierarchy.l1d[0].params.access_cycles
+        assert hierarchy.l1d[0].hits == 1
 
     def test_cross_core_sharing_through_l3(self):
         hierarchy = self.make()
         hierarchy.access(0, 0x9000)
-        _cycles, level = hierarchy.access(1, 0x9000)
-        assert level is MemoryLevel.L3
+        cycles = hierarchy.access(1, 0x9000)
+        assert served_by(hierarchy, cycles) == "L3"
+        assert hierarchy.l3.hits == 1
 
     def test_skip_l1_for_walker_requests(self):
         hierarchy = self.make()
         hierarchy.access(0, 0x4000, skip_l1=True)
         # The line went to L2 but not L1.
-        _cycles, level = hierarchy.access(0, 0x4000, skip_l1=True)
-        assert level is MemoryLevel.L2
-        cycles, level = hierarchy.access(0, 0x4000)
-        assert level is MemoryLevel.L2
+        cycles = hierarchy.access(0, 0x4000, skip_l1=True)
+        assert served_by(hierarchy, cycles, skip_l1=True) == "L2"
+        cycles = hierarchy.access(0, 0x4000)
+        assert served_by(hierarchy, cycles) == "L2"
+        assert hierarchy.l1d[0].hits == 0
 
     def test_ifetch_uses_l1i(self):
         hierarchy = self.make()
-        hierarchy.access(0, 0x8000, AccessKind.IFETCH)
-        _c, level = hierarchy.access(0, 0x8000, AccessKind.IFETCH)
-        assert level is MemoryLevel.L1
+        hierarchy.access(0, 0x8000, IFETCH)
+        cycles = hierarchy.access(0, 0x8000, IFETCH)
+        assert served_by(hierarchy, cycles, IFETCH) == "L1"
         assert hierarchy.l1i[0].hits == 1
         assert hierarchy.l1d[0].hits == 0
 
@@ -142,8 +171,8 @@ class TestCacheHierarchy:
         hierarchy.access(0, 0xA000)
         hierarchy.access(1, 0xA000)
         hierarchy.invalidate_line(0xA000)
-        _c, level = hierarchy.access(0, 0xA000)
-        assert level is MemoryLevel.DRAM
+        cycles = hierarchy.access(0, 0xA000)
+        assert served_by(hierarchy, cycles) == "DRAM"
 
     def test_stats_keys(self):
         hierarchy = self.make()
@@ -156,5 +185,9 @@ class TestCacheHierarchy:
         hierarchy = self.make()
         hierarchy.access(0, 0xC000)
         # Core 1 misses its private L2 and hits shared L3.
-        _c, level = hierarchy.access(1, 0xC000, skip_l1=True)
-        assert level is MemoryLevel.L3
+        cycles = hierarchy.access(1, 0xC000, skip_l1=True)
+        assert served_by(hierarchy, cycles, skip_l1=True) == "L3"
+
+
+class TestCacheHierarchyFast(TestCacheHierarchy):
+    fastpath = True

@@ -1,13 +1,16 @@
-"""Differential verification of the exact fast path (repro.sim.fastpath).
+"""Differential verification of the fast backing and the L0 memo
+(repro.sim.fastpath).
 
 The contract under test: with ``SimConfig.fastpath`` on (the default),
 every architectural observable — ``RunResult.as_dict()``, per-call
 translation cycles and physical addresses, TLB/cache counters — is
-bit-identical to a run with ``fastpath=False``. The suite drives the
-whole stack (every stock config, end to end), the swapped structures
-(random operation streams against both backings), and the L0 memo's
+bit-identical to a run with ``fastpath=False``, which keeps the same
+driver but swaps in the reference structures and drops the memo. The
+suite drives the whole stack (every stock config, end to end, also with
+the sanitizer or tracer wired), the swapped structures (random
+operation streams against both backings), and the L0 memo's
 invalidation edge cases (CoW retry, cross-core shootdowns, mid-run
-measurement reset, debug-mode bypass).
+measurement reset, memo unwiring under debug hooks).
 """
 
 import json
@@ -23,12 +26,11 @@ from repro.experiments.common import (build_environment, config_by_name,
 from repro.experiments.perf import run_hot
 from repro.hw.cache import FastSetAssociativeCache, SetAssociativeCache
 from repro.hw.params import CacheParams, TLBParams, baseline_machine
-from repro.hw.tlb import (FastMultiSizeTLB, FastSetAssocTLB, SetAssocTLB,
-                          TLBEntry)
+from repro.hw.tlb import (FastMultiSizeTLB, FastSetAssocTLB, MultiSizeTLB,
+                          SetAssocTLB, TLBEntry)
 from repro.hw.types import AccessKind, PageSize
 from repro.kernel.fault import InvalidationScope, TLBInvalidation
 from repro.kernel.vma import SegmentKind
-from repro.sim.fastpath import fastpath_active, structures_active
 from repro.sim.simulator import Simulator
 from repro.workloads.profiles import APP_PROFILES
 
@@ -36,12 +38,27 @@ STOCK_CONFIGS = ("Baseline", "BabelFish", "BabelFish-PT", "BabelFish-TLB",
                  "BigTLB", "Victima", "Coalesced")
 
 
-def _run_both(name, cores=1, scale=0.03, **overrides):
+def _run_pair(name, cores=1, scale=0.03, **overrides):
     fast = run_app("mongodb", config_by_name(name, **overrides),
                    cores=cores, scale=scale, use_cache=False)
     ref = run_app("mongodb", config_by_name(name, fastpath=False, **overrides),
                   cores=cores, scale=scale, use_cache=False)
-    return fast.result.as_dict(), ref.result.as_dict()
+    return fast.result, ref.result
+
+
+def _run_both(name, cores=1, scale=0.03, **overrides):
+    fast, ref = _run_pair(name, cores=cores, scale=scale, **overrides)
+    return fast.as_dict(), ref.as_dict()
+
+
+def _assert_debug_mode_bit_identical(**overrides):
+    # Both sides run the one driver with the hooks wired; they differ
+    # only in the structures (fast vs reference) under it.
+    for name in STOCK_CONFIGS:
+        fast, ref = _run_pair(name, scale=0.02, **overrides)
+        assert fast.as_dict() == ref.as_dict(), name
+        assert fast.coherence_violations == [], name
+        assert ref.coherence_violations == [], name
 
 
 # -- end-to-end bit-identity ----------------------------------------------------
@@ -55,13 +72,11 @@ def test_stock_configs_bit_identical(name):
 
 
 def test_sanitize_mode_bit_identical():
-    fast, ref = _run_both("BabelFish", scale=0.02, sanitize=True)
-    assert fast == ref
+    _assert_debug_mode_bit_identical(sanitize=True)
 
 
 def test_trace_mode_bit_identical():
-    fast, ref = _run_both("BabelFish", scale=0.02, trace=True)
-    assert fast == ref
+    _assert_debug_mode_bit_identical(trace=True)
 
 
 def test_churn_stop_restart_stream_bit_identical():
@@ -83,7 +98,7 @@ def test_churn_stop_restart_stream_bit_identical():
 def test_reset_measurement_mid_run_identical():
     # run_hot warms, calls reset_measurement(), then measures — the memo
     # and epochs survive the reset (stats objects are replaced, not the
-    # TLBs) and must still replay the reference path exactly.
+    # TLBs) and must still match the reference structures exactly.
     fast_dict, accesses, _s = run_hot(config_by_name("BabelFish"), 1, 1500)
     ref_dict, _, _s = run_hot(config_by_name("BabelFish", fastpath=False),
                               1, 1500)
@@ -163,33 +178,40 @@ def test_fuzz_mixed_configs_identical():
 # -- gating -------------------------------------------------------------------
 
 
+def _backing(env):
+    mmu = env.sim.mmus[0]
+    return type(mmu.l1d), type(env.sim.hierarchy.l3)
+
+
 def test_escape_hatches(monkeypatch):
     # SimConfig.fastpath is the one switch: the environment has no say.
-    config = config_by_name("BabelFish")
-    assert fastpath_active(config) and structures_active(config)
     monkeypatch.setenv("REPRO_FASTPATH", "0")
-    assert fastpath_active(config)
+    env = build_environment(config_by_name("BabelFish"), cores=1)
+    assert _backing(env) == (FastMultiSizeTLB, FastSetAssociativeCache)
+    assert env.sim.mmus[0]._memo is not None
     reference = config_by_name("BabelFish", fastpath=False)
-    assert not fastpath_active(reference)
     env = build_environment(reference, cores=1)
-    assert env.sim._fast is False
-    assert env.sim.mmus[0]._memo is None
+    assert _backing(env) == (MultiSizeTLB, SetAssociativeCache)
+    mmu = env.sim.mmus[0]
+    assert mmu._memo is None and mmu._memo_store is None
 
 
 # (ids avoid the literal word "sanitize", which conftest treats as the
 # opt-in marker keyword and would skip.)
 @pytest.mark.parametrize("overrides", [{"sanitize": True}, {"trace": True}],
                          ids=["sanitizer-mode", "tracer-mode"])
-def test_debug_modes_bypass_fast_structures(overrides):
-    config = config_by_name("BabelFish", **overrides)
-    assert fastpath_active(config)
-    assert not structures_active(config)
-    env = build_environment(config, cores=1)
-    assert env.sim._fast is False
+def test_debug_modes_run_on_fast_structures(overrides):
+    # Debug modes keep the backing the config asks for; only the memo
+    # is unwired, so their hooks see every lookup.
+    env = build_environment(config_by_name("BabelFish", **overrides),
+                            cores=1)
+    assert _backing(env) == (FastMultiSizeTLB, FastSetAssociativeCache)
     mmu = env.sim.mmus[0]
-    assert mmu._memo is None
-    assert not isinstance(mmu.l1d, FastMultiSizeTLB)
-    assert type(env.sim.hierarchy.l3) is SetAssociativeCache
+    assert mmu._memo is None and mmu._memo_store is not None
+    env = build_environment(
+        config_by_name("BabelFish", fastpath=False, **overrides), cores=1)
+    assert _backing(env) == (MultiSizeTLB, SetAssociativeCache)
+    assert env.sim.mmus[0]._memo is None
 
 
 def test_post_hoc_tracer_or_sanitizer_disables_memo():
@@ -282,7 +304,7 @@ def test_no_invalid_entry_survives_in_a_set(cls):
 def _cache_state(cache):
     return ([set(cset) for cset in cache._sets], set(cache._dirty),
             cache.hits, cache.misses, cache.evictions, cache.writebacks,
-            cache.epoch, cache.occupancy)
+            cache.occupancy)
 
 
 def test_cache_backings_equivalent_under_random_stream():

@@ -1,8 +1,12 @@
-"""Behaviour lock: golden digests of the quick report matrix.
+"""Behaviour lock: golden digests of the quick report matrix and the
+policy-zoo smoke grid.
 
-``GOLDEN.json`` at the repo root maps each cell of the quick matrix
+``GOLDEN.json`` at the repo root maps each cell to the sha256 of its
+canonical ``RunResult.as_dict()``. The cells are the quick matrix
 (``python -m repro.experiments run --quick``: 14 runs at cores=2,
-scale=0.25) to the sha256 of its canonical ``RunResult.as_dict()``.
+scale=0.25) and the default-tier cells of the zoo smoke grid (every
+registered policy on mongodb at cores=2, scale=0.05), so the lock
+covers the Victima victim level and the Coalesced span path too.
 The test recomputes every digest in a fresh interpreter with a fixed,
 non-zero ``PYTHONHASHSEED``, so a result that leaks ``hash()`` of a
 string or tuple into simulated state (the ASLR-seed bug class) moves a
@@ -27,12 +31,21 @@ HASH_SEED = "20200530"
 QUICK = dict(cores=2, scale=0.25)
 
 
+def golden_requests():
+    """The locked cells: the quick matrix, then the zoo smoke grid's
+    default-tier requests (the ``fastpath=False`` twins are dropped)."""
+    from repro.experiments import runner, zoo
+    zoo_cells = [request for request in zoo.zoo_matrix(**zoo.SCALES["smoke"])
+                 if not request.overrides]
+    return runner.report_matrix(**QUICK) + zoo_cells
+
+
 def compute_digests():
-    """``{request label: sha256}`` for every cell of the quick matrix,
-    simulated here with every cache bypassed."""
+    """``{request label: sha256}`` for every locked cell, simulated here
+    with every cache bypassed."""
     from repro.experiments import runcache, runner
     digests = {}
-    for request in runner.report_matrix(**QUICK):
+    for request in golden_requests():
         run = runner.run_request(request, use_cache=False)
         result = runner.request_summary(request, run)["result"]
         blob = runcache.canonical_json(result).encode()
@@ -45,6 +58,7 @@ def render(digests):
 
 
 def test_quick_matrix_matches_golden():
+    # Covers the zoo smoke cells too; the test id is kept stable.
     golden = json.loads(GOLDEN_PATH.read_text())
     env = dict(os.environ, PYTHONHASHSEED=HASH_SEED,
                PYTHONPATH=os.pathsep.join(

@@ -6,9 +6,9 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.core.mask_page import MaskPage, MaskPageFull, pmd_index_of, region_of
 from repro.core.opc import MAX_PRIVATE_COPIES, OPCField
-from repro.hw.cache import SetAssociativeCache
+from repro.hw.cache import FastSetAssociativeCache, SetAssociativeCache
 from repro.hw.params import CacheParams, TLBParams
-from repro.hw.tlb import SetAssocTLB, TLBEntry
+from repro.hw.tlb import FastSetAssocTLB, SetAssocTLB, TLBEntry
 from repro.hw.types import PageSize
 from repro.kernel.aslr_layout import randomized_layout
 from repro.kernel.frames import FrameAllocator
@@ -20,30 +20,36 @@ from repro.workloads.zipf import ZipfGenerator
 
 VPN48 = st.integers(min_value=0, max_value=(1 << 36) - 1)
 
+#: Both backings of each structure: every example draws one, so the
+#: properties hold for the reference and the fast implementation alike.
+CACHES = st.sampled_from([SetAssociativeCache, FastSetAssociativeCache])
+TLBS = st.sampled_from([SetAssocTLB, FastSetAssocTLB])
+
 
 class TestCacheProperties:
     @given(st.lists(st.tuples(st.integers(0, 1 << 20), st.booleans()),
-                    max_size=200))
+                    max_size=200), CACHES)
     @settings(max_examples=50)
-    def test_occupancy_never_exceeds_capacity(self, ops):
-        cache = SetAssociativeCache(CacheParams("p", 512, 2, 64, 1))
+    def test_occupancy_never_exceeds_capacity(self, ops, cache_cls):
+        cache = cache_cls(CacheParams("p", 512, 2, 64, 1))
         capacity = cache.num_sets * cache.ways
         for addr, is_write in ops:
             cache.insert(addr, is_write)
             assert cache.occupancy <= capacity
 
-    @given(st.lists(st.integers(0, 1 << 20), min_size=1, max_size=100))
+    @given(st.lists(st.integers(0, 1 << 20), min_size=1, max_size=100),
+           CACHES)
     @settings(max_examples=50)
-    def test_insert_then_lookup_hits(self, addrs):
-        cache = SetAssociativeCache(CacheParams("p", 64 * 1024, 8, 64, 1))
+    def test_insert_then_lookup_hits(self, addrs, cache_cls):
+        cache = cache_cls(CacheParams("p", 64 * 1024, 8, 64, 1))
         for addr in addrs:
             cache.insert(addr)
             assert cache.lookup(addr)
 
-    @given(st.lists(st.integers(0, 1 << 16), max_size=100))
+    @given(st.lists(st.integers(0, 1 << 16), max_size=100), CACHES)
     @settings(max_examples=30)
-    def test_hits_plus_misses_equals_lookups(self, addrs):
-        cache = SetAssociativeCache(CacheParams("p", 1024, 2, 64, 1))
+    def test_hits_plus_misses_equals_lookups(self, addrs, cache_cls):
+        cache = cache_cls(CacheParams("p", 1024, 2, 64, 1))
         for addr in addrs:
             if cache.lookup(addr):
                 pass
@@ -53,27 +59,27 @@ class TestCacheProperties:
 
 
 class TestTLBProperties:
-    @given(st.lists(st.tuples(VPN48, st.integers(1, 7)), max_size=150))
+    @given(st.lists(st.tuples(VPN48, st.integers(1, 7)), max_size=150), TLBS)
     @settings(max_examples=50)
-    def test_occupancy_bounded(self, inserts):
-        tlb = SetAssocTLB(TLBParams("t", 16, 4, PageSize.SIZE_4K, 1))
+    def test_occupancy_bounded(self, inserts, tlb_cls):
+        tlb = tlb_cls(TLBParams("t", 16, 4, PageSize.SIZE_4K, 1))
         for vpn, pcid in inserts:
             tlb.insert(TLBEntry(vpn, 1, pcid=pcid))
             assert tlb.occupancy <= 16
 
-    @given(st.lists(st.tuples(VPN48, st.integers(1, 3)), max_size=80))
+    @given(st.lists(st.tuples(VPN48, st.integers(1, 3)), max_size=80), TLBS)
     @settings(max_examples=50)
-    def test_most_recent_insert_always_hits(self, inserts):
-        tlb = SetAssocTLB(TLBParams("t", 16, 4, PageSize.SIZE_4K, 1))
+    def test_most_recent_insert_always_hits(self, inserts, tlb_cls):
+        tlb = tlb_cls(TLBParams("t", 16, 4, PageSize.SIZE_4K, 1))
         for vpn, pcid in inserts:
             tlb.insert(TLBEntry(vpn, 1, pcid=pcid),
                        replace=lambda old, p=pcid: old.pcid == p)
             assert tlb.lookup(vpn, lambda e, p=pcid: e.pcid == p) is not None
 
-    @given(st.lists(VPN48, max_size=60), VPN48)
+    @given(st.lists(VPN48, max_size=60), VPN48, TLBS)
     @settings(max_examples=50)
-    def test_invalidate_removes_all_copies(self, vpns, victim):
-        tlb = SetAssocTLB(TLBParams("t", 32, 4, PageSize.SIZE_4K, 1))
+    def test_invalidate_removes_all_copies(self, vpns, victim, tlb_cls):
+        tlb = tlb_cls(TLBParams("t", 32, 4, PageSize.SIZE_4K, 1))
         for i, vpn in enumerate(vpns):
             tlb.insert(TLBEntry(vpn, 1, pcid=i % 5))
         tlb.invalidate(victim)
