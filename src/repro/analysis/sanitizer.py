@@ -100,8 +100,7 @@ class TranslationSanitizer:
 
     @staticmethod
     def _walk_tables(proc, vpn_group):
-        path = proc.tables.walk(vpn_group)
-        _level, table, _index, entry = path[-1]
+        _level, table, _index, entry = proc.tables.leaf_slot(vpn_group)
         if isinstance(entry, PTE) and entry.present:
             return entry, table
         return None, None

@@ -116,12 +116,12 @@ class ContainerEngine:
                     VMAKind.ANON, name="stack")
         # Image initialization: the zygote touches the runtime's common
         # working set once, so forked containers inherit warm tables.
-        for page in range(min(image.infra_pages, 64)):
-            kernel.touch(proc, proc.vpn_group(SegmentKind.LIBS, infra_off + page))
-        for page in range(min(image.lib_pages, 96)):
-            kernel.touch(proc, proc.vpn_group(SegmentKind.LIBS, page))
-        for page in range(min(image.binary_pages, 32)):
-            kernel.touch(proc, proc.vpn_group(SegmentKind.CODE, page))
+        kernel.touch_range(proc, proc.vpn_group(SegmentKind.LIBS, infra_off),
+                           min(image.infra_pages, 64))
+        kernel.touch_range(proc, proc.vpn_group(SegmentKind.LIBS, 0),
+                           min(image.lib_pages, 96))
+        kernel.touch_range(proc, proc.vpn_group(SegmentKind.CODE, 0),
+                           min(image.binary_pages, 32))
         state = _ZygoteState(group, proc, files, layout_group)
         state.infra_offset = infra_off
         state.lib_data_offset = lib_data_off

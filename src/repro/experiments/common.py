@@ -155,39 +155,45 @@ def _os_warmup(env, deployment):
     """
     kernel = env.kernel
     profile = deployment.profile
+    binary_pages = profile.image.binary_pages
+    lib_pages = profile.image.lib_pages
+    warm_pages = int(profile.dataset_pages * profile.warm_coverage)
     for container in deployment.containers:
         proc = container.proc
-        for page in range(profile.private_pages):
-            kernel.touch(proc, proc.vpn_group(SegmentKind.HEAP, page),
-                         is_write=True)
-        if profile.thp_blocks:
-            for block in range(profile.thp_blocks):
-                kernel.touch(proc, proc.vpn_group(
-                    SegmentKind.HEAP, container.thp_offset + block * 512),
-                    is_write=True)
+        base = proc.layout_group.bases
+        kernel.touch_range(proc, base[SegmentKind.HEAP], profile.private_pages,
+                           is_write=True)
+        for block in range(profile.thp_blocks):
+            kernel.touch(proc, base[SegmentKind.HEAP] + container.thp_offset
+                         + block * 512, is_write=True)
         # Steady-state data set coverage: every container has visited the
         # hot head plus its own slice of the tail.
-        warm_pages = int(profile.dataset_pages * profile.warm_coverage)
-        for page in range(warm_pages):
-            kernel.touch(proc, proc.vpn_group(SegmentKind.MMAP, page))
-        # Custom images may have no binary or library pages at all (e.g.
-        # a pure-heap microbenchmark image); there is then no code/lib
+        kernel.touch_range(proc, base[SegmentKind.MMAP], warm_pages)
+        # The hot code/lib paths wrap around the image's pages. Custom
+        # images may have no binary or library pages at all (e.g. a
+        # pure-heap microbenchmark image); there is then no code/lib
         # working set to warm, so skip rather than divide by zero.
-        if profile.image.binary_pages:
-            for page in range(profile.code_hot):
-                kernel.touch(proc, proc.vpn_group(
-                    SegmentKind.CODE, page % profile.image.binary_pages))
-        if profile.image.lib_pages:
-            for page in range(profile.lib_hot):
-                kernel.touch(proc, proc.vpn_group(
-                    SegmentKind.LIBS, page % profile.image.lib_pages))
+        if binary_pages:
+            _touch_cyclic(kernel, proc, base[SegmentKind.CODE], binary_pages,
+                          profile.code_hot)
+        if lib_pages:
+            _touch_cyclic(kernel, proc, base[SegmentKind.LIBS], lib_pages,
+                          profile.lib_hot)
         warm_trace = _make_trace(profile, container.index,
                                  requests=max(
                                      1, int(profile.requests * profile.warm_fraction)),
                                  tag=False, seed_offset=900_000)
         for kind, segment, page, _line, _gap, _rid in warm_trace:
-            kernel.touch(proc, proc.vpn_group(segment, page),
-                         is_write=kind == 2)
+            kernel.touch(proc, base[segment] + page, is_write=kind == 2)
+
+
+def _touch_cyclic(kernel, proc, start_vpn, npages, count):
+    """Touch ``count`` pages cycling through ``npages`` pages from
+    ``start_vpn`` (page ``i`` is ``start_vpn + i % npages``), in order."""
+    laps, rest = divmod(count, npages)
+    for _ in range(laps):
+        kernel.touch_range(proc, start_vpn, npages)
+    kernel.touch_range(proc, start_vpn, rest)
 
 
 def _make_trace(profile, container_index, requests, tag, seed_offset=0,

@@ -370,8 +370,7 @@ class Kernel:
 
         # A present, usable leaf may already exist (CoW break needed, or a
         # group member populated the shared table first).
-        path = proc.tables.walk(lookup_vpn)
-        _level, table, index, entry = path[-1]
+        _level, table, index, entry = proc.tables.leaf_slot(lookup_vpn)
         if isinstance(entry, PTE) and entry.present:
             return self._fault_on_present(proc, vma, lookup_vpn, table, index,
                                           entry, is_write)
@@ -521,7 +520,14 @@ class Kernel:
     def touch(self, proc, vpn, is_write=False):
         """Resolve ``vpn`` as if the process accessed it, without hardware
         timing: fault as many times as the hardware would retry. Returns
-        the final usable PTE. Used by the warm-up phases and tests."""
+        the final usable PTE.
+
+        The reference for one page: a usable leaf gets its accessed (and
+        on a write, dirty) bit set and its frame an LRU reference; any
+        other state goes through :meth:`handle_fault` and is looked up
+        again. Scattered warm-up touches and tests call it directly;
+        consecutive runs of pages go through :meth:`touch_range`.
+        """
         for _ in range(4):
             pte = proc.tables.lookup_pte(vpn)
             if pte is not None and pte.present:
@@ -533,6 +539,66 @@ class Kernel:
                     return pte
             self.handle_fault(proc, vpn, is_write)
         raise RuntimeError("touch did not converge at vpn %#x" % vpn)
+
+    def touch_range(self, proc, vpn, npages, is_write=False):
+        """:meth:`touch` each of ``npages`` pages from ``vpn``, in order,
+        one 2MB block at a time.
+
+        Leaves the kernel in exactly the state the per-page calls would:
+        the same faults, table allocations, policy calls, frame order and
+        LRU order, and the same exception at the same page. Per block the
+        VMA, the THP decision and the PTE-level table are resolved once;
+        per page the slot is read directly. A usable leaf gets touch's
+        accessed/dirty/LRU update. A missing or non-present 4K leaf goes
+        straight to :meth:`_populate` -- what :meth:`handle_fault` does
+        once the path exists -- and the slot is read again; an empty slot
+        then means ``install_target`` installed into another table, so
+        the block is resolved again. Everything else takes :meth:`touch`
+        unchanged, and the block is resolved again after it: a missing
+        path (its first fault is the one that calls ``ensure_path`` and
+        the policy's ``table_provider``), a huge leaf or THP-eligible
+        block, a CoW or read-only write, and a page outside every VMA.
+        """
+        end = vpn + npages
+        tables = proc.tables
+        lru_touch = self.lru.touch
+        while vpn < end:
+            vma = proc.mm.find(vpn)
+            if vma is None:
+                self.touch(proc, vpn, is_write)
+                vpn += 1
+                continue
+            stop = min(end, vma.end_vpn, (vpn | (HUGE_PAGES - 1)) + 1)
+            if self._use_huge(vma, vpn):
+                for page in range(vpn, stop):
+                    self.touch(proc, page, is_write)
+                vpn = stop
+                continue
+            table = tables.pte_table(vpn)
+            while vpn < stop:
+                if table is None:
+                    self.touch(proc, vpn, is_write)
+                    table = tables.pte_table(vpn)
+                    vpn += 1
+                    continue
+                index = vpn & (HUGE_PAGES - 1)
+                pte = table.entries.get(index)
+                if pte is None or not pte.present:
+                    self._populate(proc, vma, vpn, table, index, is_write,
+                                   False)
+                    pte = table.entries.get(index)
+                    if pte is None or not pte.present:
+                        table = tables.pte_table(vpn)
+                        pte = table.entries[index]
+                if is_write and (pte.cow or not pte.writable):
+                    self.touch(proc, vpn, is_write)
+                    table = tables.pte_table(vpn)
+                else:
+                    pte.accessed = True
+                    if is_write:
+                        pte.dirty = True
+                    lru_touch(pte.ppn)
+                vpn += 1
 
     # -- statistics ----------------------------------------------------------------
 

@@ -179,11 +179,39 @@ class AddressSpaceTables:
             table = entry.table
         return path
 
+    def leaf_slot(self, vpn):
+        """The last step of :meth:`walk`: ``(level, table, index, entry)``
+        where the walk of ``vpn`` stops, without building the path (the
+        shifts are :data:`_LEVEL_SHIFT`'s, 511 is the index mask)."""
+        table = self.pgd
+        index = (vpn >> 27) & 511
+        entry = table.entries.get(index)
+        if not isinstance(entry, TableRef):
+            return PGD, table, index, entry
+        table = entry.table
+        index = (vpn >> 18) & 511
+        entry = table.entries.get(index)
+        if not isinstance(entry, TableRef):
+            return PUD, table, index, entry
+        table = entry.table
+        index = (vpn >> 9) & 511
+        entry = table.entries.get(index)
+        if not isinstance(entry, TableRef):
+            return PMD, table, index, entry
+        table = entry.table
+        index = vpn & 511
+        return PTE_LEVEL, table, index, table.entries.get(index)
+
     def lookup_pte(self, vpn):
         """The leaf PTE mapping ``vpn`` (4K or huge), or None."""
-        path = self.walk(vpn)
-        entry = path[-1][3]
+        entry = self.leaf_slot(vpn)[3]
         return entry if isinstance(entry, PTE) else None
+
+    def pte_table(self, vpn):
+        """The PTE-level table covering ``vpn``'s 2MB block, or None when
+        the path is missing or ends in a huge leaf."""
+        level, table, _index, _entry = self.leaf_slot(vpn)
+        return table if level == PTE_LEVEL else None
 
     def ensure_path(self, vpn, leaf_level=PTE_LEVEL, table_provider=None):
         """Create intermediate tables down to ``leaf_level``'s table.
@@ -197,10 +225,10 @@ class AddressSpaceTables:
         """
         table = self.pgd
         allocated = 0
-        for level in (PGD, PUD, PMD):
+        for level, shift in ((PGD, 27), (PUD, 18), (PMD, 9)):
             if level == leaf_level:
                 break
-            index = table_index(vpn, level)
+            index = (vpn >> shift) & 511
             entry = table.entries.get(index)
             if entry is None:
                 child_level = level - 1
@@ -215,7 +243,7 @@ class AddressSpaceTables:
                 raise ValueError(
                     "vpn %#x: level %d already holds a huge leaf" % (vpn, level))
             table = entry.table
-        return table, table_index(vpn, leaf_level), allocated
+        return table, (vpn >> _LEVEL_SHIFT[leaf_level]) & 511, allocated
 
     def set_leaf(self, vpn, pte, leaf_level=PTE_LEVEL, table_provider=None):
         """Install a leaf mapping, creating the path as needed."""

@@ -1,5 +1,5 @@
-"""Behaviour lock: golden digests of the quick report matrix and the
-policy-zoo smoke grid.
+"""Behaviour lock: golden digests of the quick report matrix, the
+policy-zoo smoke grid and the Figure 9 rows.
 
 ``GOLDEN.json`` at the repo root maps each cell to the sha256 of its
 canonical ``RunResult.as_dict()``. The cells are the quick matrix
@@ -7,6 +7,10 @@ canonical ``RunResult.as_dict()``. The cells are the quick matrix
 scale=0.25) and the default-tier cells of the zoo smoke grid (every
 registered policy on mongodb at cores=2, scale=0.05), so the lock
 covers the Victima victim level and the Coalesced span path too.
+The Figure 9 rows (``run_fig9(scale=0.25)``: five apps plus the
+functions) are digests of ``Fig9Row.as_dict()``; they read the LRU
+active list and the page-table leaves the OS warm-up leaves behind,
+which no ``RunResult`` shows.
 The test recomputes every digest in a fresh interpreter with a fixed,
 non-zero ``PYTHONHASHSEED``, so a result that leaks ``hash()`` of a
 string or tuple into simulated state (the ASLR-seed bug class) moves a
@@ -29,6 +33,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN_PATH = ROOT / "GOLDEN.json"
 HASH_SEED = "20200530"
 QUICK = dict(cores=2, scale=0.25)
+FIG9_SCALE = 0.25
 
 
 def golden_requests():
@@ -50,6 +55,11 @@ def compute_digests():
         result = runner.request_summary(request, run)["result"]
         blob = runcache.canonical_json(result).encode()
         digests[request.label()] = hashlib.sha256(blob).hexdigest()
+    from repro.experiments import fig9
+    for row in fig9.run_fig9(scale=FIG9_SCALE):
+        blob = runcache.canonical_json(row.as_dict()).encode()
+        digests["fig9 %s scale=%s" % (row.app, FIG9_SCALE)] = (
+            hashlib.sha256(blob).hexdigest())
     return digests
 
 
@@ -58,7 +68,8 @@ def render(digests):
 
 
 def test_quick_matrix_matches_golden():
-    # Covers the zoo smoke cells too; the test id is kept stable.
+    # Covers the zoo smoke cells and Figure 9 rows too; the test id is
+    # kept stable.
     golden = json.loads(GOLDEN_PATH.read_text())
     env = dict(os.environ, PYTHONHASHSEED=HASH_SEED,
                PYTHONPATH=os.pathsep.join(

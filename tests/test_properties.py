@@ -13,7 +13,16 @@ from repro.hw.types import PageSize
 from repro.kernel.aslr_layout import randomized_layout
 from repro.kernel.frames import FrameAllocator
 from repro.kernel.lru import ActiveInactiveLRU
-from repro.kernel.page_table import AddressSpaceTables, PTE, table_index
+from repro.kernel.page_table import (
+    PGD,
+    PMD,
+    PTE,
+    PTE_LEVEL,
+    PUD,
+    AddressSpaceTables,
+    TableRef,
+    table_index,
+)
 from repro.kernel.vma import SegmentKind
 from repro.sim.stats import percentile
 from repro.workloads.zipf import ZipfGenerator
@@ -155,14 +164,69 @@ class TestPageTableProperties:
         for vpn in vpns:
             assert tables.lookup_pte(vpn) is not None
 
+    @given(st.lists(st.tuples(VPN48, st.booleans()), min_size=1,
+                    max_size=40),
+           st.lists(VPN48, max_size=20))
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+    def test_single_pass_walks_match_walk(self, leaves, probes):
+        tables = AddressSpaceTables(FrameAllocator())
+        for i, (vpn, huge) in enumerate(leaves):
+            try:
+                tables.set_leaf(vpn, PTE(i + 1),
+                                leaf_level=PMD if huge else PTE_LEVEL)
+            except ValueError:
+                pass  # a huge leaf already covers this 4K page
+        for vpn in [vpn for vpn, _huge in leaves] + probes:
+            path = tables.walk(vpn)
+            assert tables.leaf_slot(vpn) == path[-1]
+            entry = path[-1][3]
+            assert tables.lookup_pte(vpn) is (
+                entry if isinstance(entry, PTE) else None)
+            levels = [level for level, _t, _i, e in path
+                      if isinstance(e, TableRef)]
+            assert tables.pte_table(vpn) is (
+                path[-1][1] if levels == [PGD, PUD, PMD] else None)
+
     @given(VPN48)
     def test_table_index_reconstructs_vpn(self, vpn):
-        from repro.kernel.page_table import PGD, PMD, PTE_LEVEL, PUD
         rebuilt = ((table_index(vpn, PGD) << 27)
                    | (table_index(vpn, PUD) << 18)
                    | (table_index(vpn, PMD) << 9)
                    | table_index(vpn, PTE_LEVEL))
         assert rebuilt == vpn & ((1 << 36) - 1)
+
+
+#: Touchable ranges of a ``TouchScenario`` (segment, first page, pages),
+#: each running a little past its VMAs so some ranges fault.
+TOUCH_SPANS = [(SegmentKind.HEAP, 0, 1700), (SegmentKind.LIBS, 0, 1100),
+               (SegmentKind.MMAP, 0, 1100), (SegmentKind.STACK, 0, 80),
+               (SegmentKind.HEAP, 1 << 18, 1100)]
+
+
+class TestTouchRangeProperties:
+    @given(st.sampled_from(["Baseline", "BabelFish"]),
+           st.lists(st.tuples(st.sampled_from([None, 0, 1]),
+                              st.sampled_from(TOUCH_SPANS),
+                              st.integers(0, 1 << 16), st.integers(1, 1200),
+                              st.booleans()),
+                    min_size=1, max_size=5))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_touch_range_equals_per_page_touch(self, touch_scenario,
+                                               config_name, operations):
+        twins = []
+        for per_page in (True, False):
+            scenario = touch_scenario(config_name)
+            outcomes = []
+            for child, (segment, first, span), start, pages, is_write \
+                    in operations:
+                proc = (scenario.zygote if child is None
+                        else scenario.children[child])
+                offset = first + start % span
+                outcomes.append(scenario.run(proc, segment, offset, pages,
+                                             is_write, per_page))
+            twins.append((outcomes, scenario.state()))
+        assert twins[0] == twins[1]
 
 
 class TestLayoutProperties:
