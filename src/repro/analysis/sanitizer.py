@@ -59,7 +59,7 @@ class CoherenceViolation:
 
 
 def _entry_vpn4k(entry):
-    return entry.vpn << (entry.page_size.shift - PageSize.SIZE_4K.shift)
+    return entry.vpn << entry.page_size.shift4k
 
 
 def _entry_covers(entry, vpn4k):

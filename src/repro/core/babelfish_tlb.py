@@ -20,15 +20,13 @@ tuple returns, and the MMU binds the pair matching its backing:
   no closure per probe.
 """
 
-from repro.hw.types import PageSize
 from repro.hw.tlb import TLBEntry
 from repro.core.mask_page import region_of
 
 
 def entry_region(entry):
     """1GB MaskPage region covered by a TLB entry (any page size)."""
-    vpn4k = entry.vpn << (entry.page_size.shift - PageSize.SIZE_4K.shift)
-    return region_of(vpn4k)
+    return region_of(entry.vpn << entry.page_size.shift4k)
 
 
 def hit_provenance(entry, proc):

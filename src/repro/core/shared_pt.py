@@ -256,8 +256,7 @@ class SharedPTManager(PrivatePTPolicy):
 
     def entry_mask_domain(self, entry):
         """Same scope computed from a TLB entry (used by the lookup)."""
-        vpn4k = entry.vpn << (entry.page_size.shift - 12)
-        return self.mask_domain(vpn4k)
+        return self.mask_domain(entry.vpn << entry.page_size.shift4k)
 
     def _privatize_table_for(self, kernel, proc, vpn, table):
         """Give ``proc`` a private (owned) copy of a shared table per the

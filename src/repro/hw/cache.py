@@ -1,8 +1,8 @@
 """Set-associative write-back caches and the 3-level hierarchy of Table I.
 
 The timing model is sequential-lookup: an access probes L1, then L2, then
-the shared L3, then DRAM, accumulating each level's access time. Fills
-propagate to every level on the way back (non-inclusive, fill-on-miss).
+the shared L3, then DRAM, accumulating each level's access time. Every
+level that misses is filled (non-inclusive, fill-on-miss).
 This is the level of fidelity the paper's translation study needs: what
 matters is *which level* a page-walk request or data access hits in, which
 is determined by sharing of physical lines across containers.
@@ -11,7 +11,8 @@ Each cache has two interchangeable set backings, chosen by
 ``SimConfig.fastpath`` alone: the stamp-scan reference
 :class:`SetAssociativeCache` (the oracle) and the recency-dict
 :class:`FastSetAssociativeCache`. :class:`CacheHierarchy` has one
-access path over either.
+access path over either: one :meth:`SetAssociativeCache.access` call
+per level.
 """
 
 
@@ -72,6 +73,16 @@ class SetAssociativeCache:
         cset[tag] = self._stamp
         if is_write:
             self._dirty.add((index, tag))
+
+    def access(self, paddr, is_write=False):
+        """Probe the cache and fill the line on a miss; True on hit.
+
+        Exactly :meth:`lookup` followed, on a miss, by :meth:`insert`.
+        """
+        if self.lookup(paddr, is_write):
+            return True
+        self.insert(paddr, is_write)
+        return False
 
     def invalidate(self, paddr):
         index, tag = self._index_tag(paddr)
@@ -140,6 +151,33 @@ class FastSetAssociativeCache(SetAssociativeCache):
         if is_write:
             self._dirty.add((index, tag))
 
+    def access(self, paddr, is_write=False):
+        # lookup() then insert() on a miss, fused: index and tag are
+        # computed once, and a missed tag is known to be absent.
+        line = paddr >> self.line_bits
+        index = line & self.set_mask
+        tag = line >> self._tag_shift
+        cset = self._sets[index]
+        if tag in cset:
+            del cset[tag]
+            cset[tag] = None
+            if is_write:
+                self._dirty.add((index, tag))
+            self.hits += 1
+            return True
+        self.misses += 1
+        if len(cset) >= self.ways:
+            victim = next(iter(cset))
+            del cset[victim]
+            self.evictions += 1
+            if (index, victim) in self._dirty:
+                self._dirty.discard((index, victim))
+                self.writebacks += 1
+        cset[tag] = None
+        if is_write:
+            self._dirty.add((index, tag))
+        return False
+
 
 class CacheHierarchy:
     """Per-core L1I/L1D + private L2, shared L3, and DRAM behind it.
@@ -165,32 +203,29 @@ class CacheHierarchy:
         go directly to the L2 cache (the walker does not consult the L1
         data cache in our model, matching the paper's Figure 7 where
         walk requests are shown probing L2 then L3 then memory).
+
+        Each level is one ``access`` call, which fills the level on a
+        miss before the next level is probed. That is the same state as
+        filling on the way back: a fill touches only its own level, and
+        DRAM's row state does not depend on any cache.
         """
         is_write = kind_code == 2
         if skip_l1:
-            l1 = None
             cycles = 0
         else:
             l1 = self.l1i[core_id] if kind_code == 0 else self.l1d[core_id]
             cycles = l1.access_cycles
-            if l1.lookup(paddr, is_write):
+            if l1.access(paddr, is_write):
                 return cycles
-
         l2 = self.l2[core_id]
         cycles += l2.access_cycles
-        if l2.lookup(paddr, is_write):
-            if l1 is not None:
-                l1.insert(paddr, is_write)
+        if l2.access(paddr, is_write):
             return cycles
-
-        cycles += self.l3.access_cycles
-        if not self.l3.lookup(paddr, is_write):
-            cycles += self.dram.access(paddr)
-            self.l3.insert(paddr, is_write)
-        l2.insert(paddr, is_write)
-        if l1 is not None:
-            l1.insert(paddr, is_write)
-        return cycles
+        l3 = self.l3
+        cycles += l3.access_cycles
+        if l3.access(paddr, is_write):
+            return cycles
+        return cycles + self.dram.access(paddr)
 
     def invalidate_line(self, paddr):
         """Drop a line everywhere (used when the kernel rewrites a pte page)."""

@@ -23,15 +23,12 @@ class PageWalkCache:
         self.hits = 0
         self.misses = 0
 
-    def _key(self, entry_paddr):
-        return entry_paddr // PTE_BYTES
-
     def lookup(self, level, entry_paddr):
         """Probe the PWC for a table entry at ``level``; True on hit."""
-        if level not in self._levels:
+        cache = self._levels.get(level)
+        if cache is None:
             return False
-        cache = self._levels[level]
-        key = self._key(entry_paddr)
+        key = entry_paddr // PTE_BYTES
         if key in cache:
             self._stamp += 1
             cache[key] = self._stamp
@@ -41,10 +38,10 @@ class PageWalkCache:
         return False
 
     def insert(self, level, entry_paddr):
-        if level not in self._levels:
+        cache = self._levels.get(level)
+        if cache is None:
             return
-        cache = self._levels[level]
-        key = self._key(entry_paddr)
+        key = entry_paddr // PTE_BYTES
         if key not in cache and len(cache) >= self.params.entries_per_level:
             victim = min(cache, key=cache.get)
             del cache[victim]
@@ -53,7 +50,7 @@ class PageWalkCache:
 
     def invalidate_entry(self, level, entry_paddr):
         if level in self._levels:
-            self._levels[level].pop(self._key(entry_paddr), None)
+            self._levels[level].pop(entry_paddr // PTE_BYTES, None)
 
     def flush(self):
         for cache in self._levels.values():

@@ -211,7 +211,7 @@ class MultiSizeTLB:
             tlb = self.tlbs.get(size)
             if tlb is None:
                 continue
-            vpn = vaddr_vpn4k >> (size.shift - PageSize.SIZE_4K.shift)
+            vpn = vaddr_vpn4k >> size.shift4k
             entry = tlb.lookup(vpn, match)
             if entry is not None:
                 return entry, size
@@ -223,7 +223,7 @@ class MultiSizeTLB:
     def invalidate(self, vpn4k, pred=None):
         removed = 0
         for size, tlb in self.tlbs.items():
-            vpn = vpn4k >> (size.shift - PageSize.SIZE_4K.shift)
+            vpn = vpn4k >> size.shift4k
             removed += tlb.invalidate(vpn, pred)
         return removed
 
@@ -396,5 +396,5 @@ class FastMultiSizeTLB(MultiSizeTLB):
     def __init__(self, params_by_size):
         super().__init__(params_by_size, tlb_cls=FastSetAssocTLB)
         self._probe = tuple(
-            (size, size.shift - PageSize.SIZE_4K.shift, tlb)
+            (size, size.shift4k, tlb)
             for size, tlb in self.tlbs.items())

@@ -12,6 +12,14 @@ ENTRIES_PER_TABLE = 512
 class AccessKind(enum.Enum):
     """What a memory access is, from the core's point of view."""
 
+    #: Identity hash, computed in C. ``Enum.__hash__`` hashes the member
+    #: name in Python, once per dict probe on the simulator's hot paths
+    #: (memo keys, ``Layout.bases``, ``MultiSizeTLB.tlbs``, the frame
+    #: allocator's per-kind maps). Members are per-process singletons and
+    #: unpickle to themselves, and no simulated order depends on a hash
+    #: (lint rule BF203 forbids iterating sets in simulation code).
+    __hash__ = object.__hash__
+
     IFETCH = "ifetch"
     LOAD = "load"
     STORE = "store"
@@ -27,6 +35,9 @@ class AccessKind(enum.Enum):
 
 class PageSize(enum.Enum):
     """Page sizes supported by the TLBs (Table I)."""
+
+    #: Identity hash, computed in C (see :class:`repro.hw.types.AccessKind`).
+    __hash__ = object.__hash__
 
     SIZE_4K = 12
     SIZE_2M = 21

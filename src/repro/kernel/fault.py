@@ -5,6 +5,9 @@ import enum
 
 
 class FaultType(enum.Enum):
+    #: Identity hash, computed in C (see :class:`repro.hw.types.AccessKind`).
+    __hash__ = object.__hash__
+
     #: Page had to come from "disk" (not in the page cache).
     MAJOR = "major"
     #: Page was in memory; only the table entry needed updating.
@@ -18,6 +21,9 @@ class FaultType(enum.Enum):
 
 
 class InvalidationScope(enum.Enum):
+    #: Identity hash, computed in C (see :class:`repro.hw.types.AccessKind`).
+    __hash__ = object.__hash__
+
     #: Invalidate the single shared (O-bit clear) entry for a VPN in every
     #: TLB — BabelFish's CoW rule (Section III-A: "only this single entry
     #: needs to be invalidated").

@@ -13,6 +13,9 @@ from repro.kernel.errors import OutOfMemoryError
 
 
 class FrameKind(enum.Enum):
+    #: Identity hash, computed in C (see :class:`repro.hw.types.AccessKind`).
+    __hash__ = object.__hash__
+
     DATA = "data"               # anonymous pages
     FILE = "file"               # page-cache pages
     PAGE_TABLE = "page_table"   # PGD/PUD/PMD/PTE table pages

@@ -4,8 +4,9 @@ The page-table *sharing policy* is injected: :class:`PrivatePTPolicy`
 reproduces conventional Linux (separate per-process page tables, fork
 deep-copies the tree), while :class:`repro.core.shared_pt.SharedPTManager`
 implements BabelFish's shared tables. The fault handler itself is common —
-it asks the policy for shared tables (``table_provider``), notifies it of
-installs, and lets it intercept CoW breaks in shared tables.
+it asks the policy for shared tables (``table_provider``), lets it
+redirect installs into shared tables (``install_target``), and lets it
+intercept CoW breaks in shared tables.
 """
 
 import dataclasses
@@ -71,9 +72,6 @@ class PrivatePTPolicy:
         """No shared tables in the conventional design."""
         return None
 
-    def on_pte_install(self, kernel, proc, vma, vpn, table, index, pte):
-        pass
-
     def cow_break(self, kernel, proc, vma, vpn, table, index, pte):
         """Return None: use the kernel's default (private) CoW break."""
         return None
@@ -81,7 +79,10 @@ class PrivatePTPolicy:
     def install_target(self, kernel, proc, vma, vpn, table, index,
                        private_content):
         """Where to install a new translation. Conventional tables are
-        always private. Returns (table, index, extra_cycles)."""
+        always private. Returns (table, index, extra_cycles).
+
+        :meth:`Kernel._populate` asks only for tables that carry a
+        ``shared_key``; a table without one is always its own target."""
         return table, index, 0
 
     def fill_info(self, proc, table, vpn):
@@ -452,24 +453,31 @@ class Kernel:
                     writable = False
                     cow = vma.writable
         size = PageSize.SIZE_2M if use_huge else PageSize.SIZE_4K
-        pte = PTE(ppn, present=True, writable=writable, user=True,
-                  executable=vma.executable, cow=cow, page_size=size,
-                  file=file, file_index=file_index)
+        # PTE(ppn, present, writable, user, executable, cow, page_size,
+        #     file, file_index)
+        pte = PTE(ppn, True, writable, True, vma.executable, cow, size,
+                  file, file_index)
         pte.accessed = True
         pte.dirty = is_write
-        # Private content (anonymous pages; private copies of file pages)
-        # must never be installed in a table shared with other group
-        # members — they would see this process's private frame. Shareable
-        # content must additionally match the shared table's registered
-        # backing; the policy checks both.
-        private_content = (vma.kind is VMAKind.ANON
-                           or (vma.kind is VMAKind.FILE_PRIVATE and is_write))
-        table, index, extra = self.policy.install_target(
-            self, proc, vma, vpn, table, index, private_content)
-        cycles += extra
+        if table.shared_key is not None:
+            # Private content (anonymous pages; private copies of file
+            # pages) must never be installed in a table shared with other
+            # group members — they would see this process's private
+            # frame. Shareable content must additionally match the shared
+            # table's registered backing; the policy checks both. A table
+            # with no key is never shared, and every policy installs into
+            # it as it is.
+            private_content = (vma.kind is VMAKind.ANON
+                               or (vma.kind is VMAKind.FILE_PRIVATE
+                                   and is_write))
+            table, index, extra = self.policy.install_target(
+                self, proc, vma, vpn, table, index, private_content)
+            cycles += extra
         table.entries[index] = pte
-        self.policy.on_pte_install(self, proc, vma, vpn, table, index, pte)
-        self._count_fault(proc, ftype)
+        if ftype is FaultType.MINOR:
+            proc.minor_faults += 1
+        else:
+            self._count_fault(proc, ftype)
         return FaultOutcome(ftype, cycles, invalidations, ppn=ppn)
 
     def _cow_break(self, proc, vma, vpn, table, index, pte):

@@ -12,6 +12,9 @@ import enum
 class SegmentKind(enum.Enum):
     """The 7 ASLR-randomized segments of a Linux process (Section IV-D)."""
 
+    #: Identity hash, computed in C (see :class:`repro.hw.types.AccessKind`).
+    __hash__ = object.__hash__
+
     CODE = "code"
     DATA = "data"
     HEAP = "heap"
@@ -22,6 +25,9 @@ class SegmentKind(enum.Enum):
 
 
 class VMAKind(enum.Enum):
+    #: Identity hash, computed in C (see :class:`repro.hw.types.AccessKind`).
+    __hash__ = object.__hash__
+
     #: MAP_SHARED file mapping: all mappers see one physical page, writes
     #: go to the shared page (data sets mounted into containers).
     FILE_SHARED = "file_shared"

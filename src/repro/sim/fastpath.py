@@ -1,7 +1,7 @@
 """The simulator's quantum loop and the L0 translation memo in front of it.
 
 Every experiment funnels millions of trace records through
-:func:`run_quantum` -> ``MMU.translate`` -> TLB lookups ->
+:func:`run_quantum` -> ``MMU._translate_pass`` -> TLB lookups ->
 ``CacheHierarchy.access``; per-access interpreter overhead dominates
 end-to-end latency. Mirroring the fast/slow split of Utopia (PAPERS.md)
 — and exploiting the same page-level locality BabelFish itself banks on
@@ -22,21 +22,15 @@ observable:
   and is unwired while a sanitizer or tracer is attached, whose hooks
   must see every lookup.
 - :func:`run_quantum` is the only trace loop: prebound locals, a
-  tuple-indexed kind table, a per-core reused
-  :class:`~repro.sim.mmu.TranslationResult`, and the memo replay
-  inlined. The tracer's clock tick and quantum event are its only hooks.
+  per-core reused :class:`~repro.sim.mmu.TranslationResult`, and the
+  memo probe inlined, so each access probes the memo once. The tracer's
+  clock tick and quantum event are its only hooks.
 
 Nothing here is ever exported into a :class:`~repro.sim.stats.RunResult`
 — epochs and memo state are internal, so ``RunResult.as_dict()`` of a
 run on the fast backing is bit-identical to one on the reference
 backing (tests/test_fastpath.py asserts this for every stock config).
 """
-
-from repro.hw.types import AccessKind
-
-#: Trace-record kind codes index this directly (0=IFETCH 1=LOAD 2=STORE).
-_KINDS = (AccessKind.IFETCH, AccessKind.LOAD, AccessKind.STORE)
-
 
 class TranslationMemo:
     """Per-core L0 memo over the L1 TLB hit path.
@@ -155,24 +149,24 @@ def run_quantum(sim, core_id, proc):
     """Run one scheduling quantum of ``proc`` on ``core_id``: the trace
     loop of every run, on either backing.
 
-    The L0 memo replay is inlined (the exact guard-and-replay sequence
-    of :meth:`TranslationMemo.probe` — a record failing a guard falls
-    through to ``mmu.translate``, whose own probe re-runs the same
-    checks and reaches the same verdict). With a tracer wired the memo
-    is off, so every record reaches ``translate``, preceded by the
-    tracer's clock tick."""
+    The L0 memo probe is inlined: the exact guard-and-replay sequence of
+    :meth:`TranslationMemo.probe`, which a default-backing run never
+    calls. A record that is missing or fails a guard goes straight to
+    ``mmu._translate_pass``, the translate pass behind the probe, so
+    each access probes the memo once. With a tracer wired the memo is
+    off, so every record reaches the pass, preceded by the tracer's
+    clock tick."""
     mmu = sim.mmus[core_id]
     stats = mmu.stats
     trace = sim._traces.get(proc.pid)
     quantum = sim.scheduler.quantum_instructions
-    translate = mmu.translate
+    translate_pass = mmu._translate_pass
     cache_access = sim.hierarchy.access
     tracer = sim.tracer
     quantum_start = sim.core_cycles[core_id]
     base_cpi = sim.base_cpi
     request_latency = sim._request_latency
     rl_get = request_latency.get
-    kinds = _KINDS
     scratch = mmu._tr_scratch
     memo = mmu._memo
     # An empty table never hits, turning the inline replay into a plain
@@ -188,7 +182,7 @@ def run_quantum(sim, core_id, proc):
     t_cycles = 0
     m_cycles = 0
     # Memo-hit counter deltas, flushed to ``stats`` after the loop. All
-    # increments commute with the ones ``translate`` applies directly,
+    # increments commute with the ones the pass applies directly,
     # and no hook reads ``stats`` mid-quantum.
     acc_i = hits_i = acc_d = hits_d = 0
     finished = False
@@ -240,8 +234,8 @@ def run_quantum(sim, core_id, proc):
             if tr_cycles < 0:
                 if tracer is not None:
                     tracer.tick(core_id, quantum_start + cycles)
-                tr = translate(proc, segment, page_off, kinds[kind_code],
-                               is_write, scratch)
+                tr = translate_pass(proc, segment, page_off, instr,
+                                    is_write, scratch)
                 tr_cycles = tr.cycles
                 ppn4k = tr.ppn4k
             mem_cycles = cache_access(

@@ -12,12 +12,15 @@ The translation path (Section VI's timing rules):
 4. Page walk through the PWC and cache hierarchy; faults invoke the
    kernel and retry.
 
-There is one translate pass (:meth:`MMU._try_translate`) for every run.
+There is one translate pass (:meth:`MMU._translate_pass`, which runs
+:meth:`MMU._try_translate` until no fault needs a retry) for every run.
 ``SimConfig.fastpath`` picks the TLB backing and the lookup pair bound
 to it (:mod:`repro.core.babelfish_tlb`); the L0 translation memo
 (:mod:`repro.sim.fastpath`) sits in front of the pass only on the fast
 backing and only while no sanitizer or tracer is wired, because their
-hooks must see every lookup.
+hooks must see every lookup. :meth:`MMU.translate` is the public
+probe-then-pass entry point; the trace loop inlines the probe and calls
+the pass itself.
 """
 
 from repro.hw.pwc import PageWalkCache
@@ -165,35 +168,43 @@ class MMU:
     def translate(self, proc, segment, page_off, kind, is_write=False,
                   into=None):
         """Translate one access; returns a :class:`TranslationResult`
-        (``into``, updated in place, when the caller passes one)."""
-        stats = self.stats
+        (``into``, updated in place, when the caller passes one): the L0
+        memo's probe, then :meth:`_translate_pass` when it misses."""
         instr = kind is AccessKind.IFETCH
         is_write = is_write or kind is AccessKind.STORE
+        if into is None:
+            into = TranslationResult()
         memo = self._memo
         if memo is not None:
             hit = memo.probe(proc, segment, page_off, instr, is_write,
-                             stats)
+                             self.stats)
             if hit is not None:
-                if into is None:
-                    return TranslationResult(self.l1_cycles, hit[0], hit[1])
                 into.cycles = self.l1_cycles
-                into.ppn4k = hit[0]
-                into.page_size = hit[1]
+                into.ppn4k, into.page_size = hit
                 return into
+        return self._translate_pass(proc, segment, page_off, instr,
+                                    is_write, into)
+
+    def _translate_pass(self, proc, segment, page_off, instr, is_write,
+                        into):
+        """Count the access and run :meth:`_try_translate` until it
+        returns a translation (each serviced fault retries); fills and
+        returns ``into``. The memo is not consulted here: the trace loop
+        calls this once its inlined probe has missed."""
+        stats = self.stats
         if instr:
             stats.accesses_i += 1
         else:
             stats.accesses_d += 1
-        vpn_proc = proc.vpn_proc(segment, page_off)
-        vpn_group = proc.vpn_group(segment, page_off)
+        # Process.vpn_proc / vpn_group, inlined.
+        vpn_proc = proc.layout_proc.bases[segment] + page_off
+        vpn_group = proc.layout_group.bases[segment] + page_off
         cycles = 0
         for _ in range(_MAX_FAULT_RETRIES):
             result = self._try_translate(proc, segment, page_off, vpn_proc,
                                          vpn_group, instr, is_write)
             cycles += result[0]
             if result[1] is not None:
-                if into is None:
-                    return TranslationResult(cycles, result[1], result[2])
                 into.cycles = cycles
                 into.ppn4k = result[1]
                 into.page_size = result[2]
@@ -353,16 +364,17 @@ class MMU:
         entry, replace = self.policy.fill_l2(self.kernel, proc, vpn_group,
                                              pte, leaf_table)
         self.l2.insert(entry, replace=replace)
-        if self.sanitizer is not None:
-            self.sanitizer.check_fill("L2", proc, entry, vpn_group)
+        sanitizer = self._sanitizer
+        if sanitizer is not None:
+            sanitizer.check_fill("L2", proc, entry, vpn_group)
         if self.l3 is not None and entry.page_size in self.l3.tlbs:
             # Inclusive victim fill. Always a clone: the reference and
             # fast structures track validity/occupancy differently, so
             # one entry object must never live in two structures.
             clone = self._clone_entry(entry)
             self.l3.insert(clone, replace=lambda old: old.pcid == clone.pcid)
-            if self.sanitizer is not None:
-                self.sanitizer.check_fill("L3", proc, clone, vpn_group)
+            if sanitizer is not None:
+                sanitizer.check_fill("L3", proc, clone, vpn_group)
         return entry
 
     def _refill_from_l3(self, proc, l3_entry, vpn_group):
@@ -370,8 +382,8 @@ class MMU:
         the L1) with a clone of the victim entry."""
         entry = self._clone_entry(l3_entry)
         self.l2.insert(entry, replace=lambda old: old.pcid == entry.pcid)
-        if self.sanitizer is not None:
-            self.sanitizer.check_fill("L2", proc, entry, vpn_group)
+        if self._sanitizer is not None:
+            self._sanitizer.check_fill("L2", proc, entry, vpn_group)
         return entry
 
     @staticmethod
@@ -394,7 +406,7 @@ class MMU:
             ppn += vpn_group & size.base_mask
             size = PageSize.SIZE_4K
         if self._share_l1:
-            vpn = vpn_group >> (size.shift - PageSize.SIZE_4K.shift)
+            vpn = vpn_group >> size.shift4k
             entry = TLBEntry(vpn, ppn, size, pcid=proc.pcid,
                              ccid=proc.ccid, writable=l2_entry.writable,
                              cow=l2_entry.cow, o_bit=l2_entry.o_bit,
@@ -404,7 +416,7 @@ class MMU:
                        and old.o_bit == entry.o_bit
                        and (not entry.o_bit or old.pcid == entry.pcid))
         else:
-            vpn = vpn_proc >> (size.shift - PageSize.SIZE_4K.shift)
+            vpn = vpn_proc >> size.shift4k
             entry = TLBEntry(vpn, ppn, size, pcid=proc.pcid,
                              ccid=proc.ccid, writable=l2_entry.writable,
                              cow=l2_entry.cow, o_bit=True,
@@ -413,9 +425,9 @@ class MMU:
         multi = self.l1i if instr else self.l1d
         if size in multi.tlbs:
             multi.insert(entry, replace=replace)
-            if self.sanitizer is not None:
-                self.sanitizer.check_fill("L1I" if instr else "L1D",
-                                          proc, entry, vpn_group)
+            if self._sanitizer is not None:
+                self._sanitizer.check_fill("L1I" if instr else "L1D",
+                                           proc, entry, vpn_group)
 
     # -- faults and invalidations --------------------------------------------------------
 
@@ -423,8 +435,8 @@ class MMU:
         outcome = self.kernel.handle_fault(proc, vpn_group, is_write)
         stats = self.stats
         stats.fault_cycles += outcome.cycles
-        if self.tracer is not None:
-            trace_outcome(self.tracer, self.core_id, proc.pid, vpn_group,
+        if self._tracer is not None:
+            trace_outcome(self._tracer, self.core_id, proc.pid, vpn_group,
                           outcome)
         if outcome.fault_type is FaultType.MINOR:
             stats.minor_faults += 1
@@ -444,9 +456,9 @@ class MMU:
 
     def apply_invalidation(self, proc, inv):
         """Apply one kernel-requested invalidation to this core's TLBs."""
-        if self.tracer is not None:
-            self.tracer.invalidation(self.core_id, proc.pid, inv.vpn,
-                                     inv.scope.value)
+        if self._tracer is not None:
+            self._tracer.invalidation(self.core_id, proc.pid, inv.vpn,
+                                      inv.scope.value)
         if inv.scope is InvalidationScope.PROCESS:
             pred = lambda e: e.pcid == inv.pcid
             vpns = {inv.vpn}
@@ -466,9 +478,8 @@ class MMU:
             def pred(entry):
                 if entry.o_bit or entry.ccid != inv.ccid:
                     return False
-                vpn4k = entry.vpn << (entry.page_size.shift
-                                      - PageSize.SIZE_4K.shift)
-                return region_of(vpn4k) == region
+                return region_of(entry.vpn << entry.page_size.shift4k) \
+                    == region
 
             for _name, tlb in self._tlb_levels:
                 tlb.flush(pred)
@@ -484,8 +495,8 @@ class MMU:
             pred = lambda e: (not e.o_bit) and e.ccid == inv.ccid
             for _name, tlb in self._tlb_levels:
                 tlb.flush(pred)
-        if self.sanitizer is not None:
-            self.sanitizer.check_invalidation(self, proc, inv)
+        if self._sanitizer is not None:
+            self._sanitizer.check_invalidation(self, proc, inv)
 
     @staticmethod
     def _to_proc_space(proc, vpn_group):

@@ -14,11 +14,13 @@ measurement reset, memo unwiring under debug hooks).
 """
 
 import json
+import pickle
 import random
 
 import pytest
 
 from conftest import MiniSystem
+from test_golden import GOLDEN_PATH, cell_digest, golden_requests
 
 from repro.experiments import perf, runcache
 from repro.experiments.common import (build_environment, config_by_name,
@@ -29,8 +31,10 @@ from repro.hw.params import CacheParams, TLBParams, baseline_machine
 from repro.hw.tlb import (FastMultiSizeTLB, FastSetAssocTLB, MultiSizeTLB,
                           SetAssocTLB, TLBEntry)
 from repro.hw.types import AccessKind, PageSize
-from repro.kernel.fault import InvalidationScope, TLBInvalidation
-from repro.kernel.vma import SegmentKind
+from repro.kernel.fault import FaultType, InvalidationScope, TLBInvalidation
+from repro.kernel.frames import FrameKind
+from repro.kernel.vma import SegmentKind, VMAKind
+from repro.sim.fastpath import TranslationMemo
 from repro.sim.simulator import Simulator
 from repro.workloads.profiles import APP_PROFILES
 
@@ -428,6 +432,71 @@ def test_manual_process_invalidation_defeats_memo(mini_babelfish):
     miss = mmu.translate(child, SegmentKind.MMAP, 5, AccessKind.LOAD)
     assert miss.cycles > mmu.l1_cycles
     assert miss.ppn4k == hit.ppn4k
+
+
+# -- one memo probe per access ---------------------------------------------------
+
+
+def test_trace_loop_never_calls_memo_probe(monkeypatch):
+    # run_quantum inlines the probe and sends a miss straight to the
+    # translate pass; a second probe of the same access would raise
+    # here. The runs must still reproduce their golden digests.
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("run_quantum called TranslationMemo.probe")
+
+    monkeypatch.setattr(TranslationMemo, "probe", refuse)
+    golden = json.loads(GOLDEN_PATH.read_text())
+    cells = ("mongodb Baseline cores=2 scale=0.05",
+             "mongodb BabelFish cores=2 scale=0.05")
+    checked = [request for request in golden_requests()
+               if request.label() in cells]
+    assert len(checked) == len(cells)
+    for request in checked:
+        assert request.config().fastpath
+        assert cell_digest(request) == golden[request.label()], \
+            request.label()
+
+
+def test_translate_serves_memo_hits(mini_babelfish, monkeypatch):
+    # The public entry point still probes the memo before the pass.
+    mini = mini_babelfish
+    sim = Simulator(baseline_machine(cores=1), config_by_name("BabelFish"),
+                    mini.kernel)
+    mmu = sim.mmus[0]
+    child = mini.fork()
+    hits = []
+    real_probe = TranslationMemo.probe
+
+    def counting_probe(memo, *args):
+        hit = real_probe(memo, *args)
+        hits.append(hit is not None)
+        return hit
+
+    monkeypatch.setattr(TranslationMemo, "probe", counting_probe)
+    # A walk fills the L1 TLB, an L1 hit of the pass seeds the memo,
+    # and the third access is served by the probe.
+    first = mmu.translate(child, SegmentKind.DATA, 4, AccessKind.LOAD)
+    mmu.translate(child, SegmentKind.DATA, 4, AccessKind.LOAD)
+    accesses = mmu.stats.accesses_d
+    repeat = mmu.translate(child, SegmentKind.DATA, 4, AccessKind.LOAD)
+    assert hits == [False, False, True]
+    assert repeat.cycles == mmu.l1_cycles
+    assert (repeat.ppn4k, repeat.page_size) == (first.ppn4k, first.page_size)
+    assert mmu.stats.accesses_d == accesses + 1
+
+
+#: Enums that key the simulator's hot dicts (memo keys, Layout.bases,
+#: MultiSizeTLB.tlbs, the frame allocator's per-kind maps).
+HOT_ENUMS = (AccessKind, PageSize, SegmentKind, VMAKind, FrameKind,
+             FaultType, InvalidationScope)
+
+
+@pytest.mark.parametrize("enum_cls", HOT_ENUMS, ids=lambda e: e.__name__)
+def test_hot_enums_hash_by_identity(enum_cls):
+    assert enum_cls.__hash__ is object.__hash__
+    assert len(enum_cls) >= 3
+    for member in enum_cls:
+        assert pickle.loads(pickle.dumps(member)) is member
 
 
 # -- perf harness: merge-on-write trajectory ------------------------------------

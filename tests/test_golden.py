@@ -45,16 +45,20 @@ def golden_requests():
     return runner.report_matrix(**QUICK) + zoo_cells
 
 
-def compute_digests():
-    """``{request label: sha256}`` for every locked cell, simulated here
-    with every cache bypassed."""
+def cell_digest(request):
+    """sha256 of one locked cell, simulated here with every cache
+    bypassed."""
     from repro.experiments import runcache, runner
-    digests = {}
-    for request in golden_requests():
-        run = runner.run_request(request, use_cache=False)
-        result = runner.request_summary(request, run)["result"]
-        blob = runcache.canonical_json(result).encode()
-        digests[request.label()] = hashlib.sha256(blob).hexdigest()
+    run = runner.run_request(request, use_cache=False)
+    result = runner.request_summary(request, run)["result"]
+    return hashlib.sha256(runcache.canonical_json(result).encode()).hexdigest()
+
+
+def compute_digests():
+    """``{request label: sha256}`` for every locked cell."""
+    from repro.experiments import runcache
+    digests = {request.label(): cell_digest(request)
+               for request in golden_requests()}
     from repro.experiments import fig9
     for row in fig9.run_fig9(scale=FIG9_SCALE):
         blob = runcache.canonical_json(row.as_dict()).encode()

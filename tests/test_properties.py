@@ -35,6 +35,11 @@ CACHES = st.sampled_from([SetAssociativeCache, FastSetAssociativeCache])
 TLBS = st.sampled_from([SetAssocTLB, FastSetAssocTLB])
 
 
+def _cache_state(cache):
+    return (cache.hits, cache.misses, cache.evictions, cache.writebacks,
+            set(cache._dirty), [list(cset.items()) for cset in cache._sets])
+
+
 class TestCacheProperties:
     @given(st.lists(st.tuples(st.integers(0, 1 << 20), st.booleans()),
                     max_size=200), CACHES)
@@ -65,6 +70,24 @@ class TestCacheProperties:
             else:
                 cache.insert(addr)
         assert cache.hits + cache.misses == len(addrs)
+
+
+    @given(st.lists(st.tuples(st.integers(0, 1 << 14), st.booleans()),
+                    max_size=300), CACHES)
+    @settings(max_examples=50)
+    def test_access_is_lookup_then_insert_on_miss(self, ops, cache_cls):
+        # access() (fused on the fast backing) against its two-call twin:
+        # same verdicts, counters, dirty lines, and per-set key order
+        # with each key's recency stamp (reference) or None (fast).
+        params = CacheParams("p", 2048, 4, 64, 1)  # 8 sets, 4 ways
+        fused = cache_cls(params)
+        twin = cache_cls(params)
+        for addr, is_write in ops:
+            hit = twin.lookup(addr, is_write)
+            if not hit:
+                twin.insert(addr, is_write)
+            assert fused.access(addr, is_write) == hit
+        assert _cache_state(fused) == _cache_state(twin)
 
 
 class TestTLBProperties:
